@@ -94,20 +94,13 @@ def test_flow_optimum_speedup_n1000(benchmark):
     assert speedup >= 5
 
 
-@pytest.mark.parametrize("backend", ["dinic", "dinic_np", "dinic_c"])
+@pytest.mark.parametrize("backend", ["dinic", "dinic_c"])
 def test_flow_optimum_kernels_n1000(benchmark, backend):
-    """All three Dinic kernels on the flat-buffer solver, cold cache.
+    """Both Dinic kernels (bit-identical flows, ``tests/test_kernel.py``), cold.
 
-    The numpy BFS (``dinic_np``) and the compiled kernel (``dinic_c``)
-    produce bit-identical flows (differential-tested in
-    ``tests/test_sparsify.py`` and ``tests/test_kernel.py``); this
-    benchmark is the cross-kernel trajectory — it tracks whether the
-    vectorized level build pays for its buffer-view overhead and how much
-    the native BFS+DFS buys at n = 1000 (the ISSUE 9 acceptance gate:
-    ``dinic_c`` ≤ 10 ms here).
+    The cross-kernel trajectory: what the native BFS+DFS buys at n = 1000
+    (its acceptance gate: ``dinic_c`` ≤ 10 ms here).
     """
-    if backend == "dinic_np":
-        pytest.importorskip("numpy")
     if backend == "dinic_c":
         from repro.offline import kernel
 

@@ -765,8 +765,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run's span/counter event stream as JSON lines",
     )
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    # Shared by the solver subcommands: the one --backend definition.
+    backend_opt = argparse.ArgumentParser(add_help=False)
+    backend_opt.add_argument("--backend", default=DEFAULT_BACKEND,
+                             choices=["auto", *BACKENDS])
+
+    def add_parser(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     p = add_parser("generate", help="generate a seeded instance")
     p.add_argument("kind", choices=sorted(GENERATORS))
@@ -780,10 +785,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.set_defaults(func=cmd_classify)
 
-    p = add_parser("opt", help="exact optima of an instance")
+    p = add_parser("opt", backend_opt, help="exact optima of an instance")
     p.add_argument("instance")
-    p.add_argument("--backend", default=DEFAULT_BACKEND,
-                   choices=["auto", *sorted(BACKENDS)])
     p.add_argument("--nonmigratory", action="store_true")
     p.add_argument("--exact-threshold", type=int, default=14)
     p.set_defaults(func=cmd_opt)
@@ -834,15 +837,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_realtime)
 
     p = add_parser(
-        "verify",
+        "verify", backend_opt,
         help="certified feasibility verdicts and backend cross-checks",
     )
     p.add_argument("instance")
     p.add_argument("--m", type=int, default=None,
                    help="certify at this machine count (default: certified optimum)")
     p.add_argument("--speed", default="1")
-    p.add_argument("--backend", default=DEFAULT_BACKEND,
-                   choices=["auto", *sorted(BACKENDS)])
     p.add_argument("--schedule",
                    help="verify this schedule JSON against the instance instead")
     p.add_argument("--differential", action="store_true",
@@ -851,13 +852,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = add_parser(
-        "stats",
+        "stats", backend_opt,
         help="one-shot observability report (counters + span timings)",
     )
     p.add_argument("instance")
     p.add_argument("--speed", default="1")
-    p.add_argument("--backend", default=DEFAULT_BACKEND,
-                   choices=["auto", *sorted(BACKENDS)])
     p.add_argument("--policy", default=None, choices=sorted(POLICIES),
                    help="also simulate this policy at the optimum "
                         "(adds engine.* counters)")

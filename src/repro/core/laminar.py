@@ -36,14 +36,14 @@ from ..model.instance import Instance, paper_order_key
 from ..model.intervals import Numeric, to_fraction
 from ..model.job import Job
 from ..model.schedule import Schedule
-from ..online.base import EngineError, JobState
+from ..online.base import InfeasibleOnline, JobState
 from ..online.engine import OnlineEngine, min_machines, simulate
 from ..online.nonmigratory import CommitAtReleasePolicy
 from .loose import LooseAlgorithm
 
 
-class LaminarAssignmentError(EngineError):
-    """No candidate's budget could pay for the arriving job."""
+class LaminarAssignmentError(InfeasibleOnline):
+    """No candidate's budget could pay for the arriving job: too few machines."""
 
 
 class LaminarBudgetPolicy(CommitAtReleasePolicy):

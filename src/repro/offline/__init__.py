@@ -1,6 +1,5 @@
 """Substrate: exact offline optima (migratory flow, non-migratory search)."""
 
-from .lp import lp_feasible
 from .nonpreemptive import (
     exact_np_optimum,
     np_first_fit,
@@ -55,7 +54,6 @@ __all__ = [
     "available_backends",
     "resolve_backend",
     "scaled_lower_bound",
-    "lp_feasible",
     "exact_np_optimum",
     "np_first_fit",
     "single_machine_np_feasible",

@@ -13,13 +13,11 @@ buffers so a probe is allocation-free and snapshots are single ``memcpy``s:
   loops do nothing but index them).  Blocking
   flows are found by an iterative DFS with current-arc pointers (no
   recursion limits at scale); the per-phase ``level``/``it`` scratch
-  buffers are preallocated once and reset by slice copies.  An optional
-  numpy-vectorized BFS (``kernel="np"``) builds the level graph with array
-  operations over zero-copy views of the same buffers — bit-identical
-  levels, hence bit-identical flows.  A compiled kernel (``kernel="c"``,
-  lazily built by :mod:`repro.offline.kernel`) runs the whole phase loop
-  natively over the *same* capacity buffer, zero-copy, mirroring the
-  Python loop step for step so its flows are bit-identical too.
+  buffers are preallocated once and reset by slice copies.  A compiled
+  kernel (``kernel="c"``, lazily built by :mod:`repro.offline.kernel`)
+  runs the whole phase loop natively over the *same* capacity buffer,
+  zero-copy, mirroring the Python loop step for step so its flows are
+  bit-identical.
 * :class:`FeasibilityNetwork` — the ``source → job → interval → sink``
   network specialized to the job/interval bipartite structure.  Edge ids
   are *arithmetic*: sink arc of interval ``k`` is ``2k``, and each job's
@@ -53,17 +51,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..obs import core as _obs
 from . import kernel as _ckernel
 
-#: Level-graph kernels accepted by :meth:`Dinic.max_flow`.
-KERNELS = ("py", "np", "c")
+#: Kernels accepted by :meth:`Dinic.max_flow`.
+KERNELS = ("py", "c")
 
 _EMPTY_I = array("i")
 
 
-def _np():
-    """Import numpy lazily; the ``"np"`` kernel is strictly opt-in."""
-    import numpy
-
-    return numpy
+def _record_max_flow(kernel: str, dt: int, phases: int, paths: int,
+                     retreats: int, added: int) -> None:
+    """Flush one ``max_flow`` call's tallies under the same names per kernel."""
+    _obs.incr("dinic.bfs_phases", phases)
+    _obs.incr("dinic.aug_paths", paths)
+    _obs.incr("dinic.retreats", retreats)
+    _obs.incr("dinic.flow_pushed", added)
+    _obs.observe("dinic.max_flow_ns", dt)
+    _obs.observe(f"dinic.max_flow_{kernel}_ns", dt)
+    _obs.observe("dinic.phases_per_call", phases)
+    _obs.observe("dinic.flow_per_call", added)
 
 
 class Dinic:
@@ -82,7 +86,7 @@ class Dinic:
 
     __slots__ = (
         "n", "to", "cap", "_head", "_elist",
-        "_level", "_it", "_minus1", "_np_csr", "_c_csr",
+        "_level", "_it", "_minus1", "_c_csr",
     )
 
     def __init__(self, n_nodes: int) -> None:
@@ -91,7 +95,6 @@ class Dinic:
         self.cap: List[int] = []         # packed to array('q') by finalize
         self._head: Optional[array] = None
         self._elist: Optional[array] = None
-        self._np_csr = None
         self._c_csr = None
 
     # -- construction ---------------------------------------------------------
@@ -136,13 +139,14 @@ class Dinic:
         """Freeze the edge set and build the CSR adjacency.
 
         Idempotent.  The capacity buffer is packed into a flat ``array('q')``
-        (so snapshots are single ``memcpy``s and numpy can view it zero-copy)
-        while the static topology — ``to``, the ``head`` offsets, and the
-        ``elist`` edge ids — stays in plain Python lists: list indexing skips
-        the per-access ``int`` boxing of ``array`` and the DFS/BFS inner
-        loops do nothing but index these.  Also preallocates the per-phase
-        scratch buffers (``level``, current-arc pointers, and the ``-1``
-        reset template) so every subsequent probe is allocation-free.
+        (so snapshots are single ``memcpy``s and the compiled kernel reads it
+        zero-copy) while the static topology — ``to``, the ``head`` offsets,
+        and the ``elist`` edge ids — stays in plain Python lists: list
+        indexing skips the per-access ``int`` boxing of ``array`` and the
+        DFS/BFS inner loops do nothing but index these.  Also preallocates
+        the per-phase scratch buffers (``level``, current-arc pointers, and
+        the ``-1`` reset template) so every subsequent probe is
+        allocation-free.
         """
         if self._head is not None:
             return
@@ -226,51 +230,6 @@ class Dinic:
             frontier = nxt
         return level
 
-    def _bfs_np(self, s: int, t: int) -> List[int]:
-        """Level graph via vectorized frontier expansion (numpy kernel).
-
-        Computes exactly the BFS distances of :meth:`_bfs_py` (levels are
-        shortest-path distances, unique by definition), so the blocking-flow
-        DFS — and therefore the resulting flow — is bit-identical across
-        kernels.  Reads ``cap`` through a zero-copy view of the live buffer.
-        """
-        np = _np()
-        if self._np_csr is None:
-            head = np.asarray(self._head, dtype=np.int64)
-            elist = np.asarray(self._elist, dtype=np.int64)
-            to = np.asarray(self.to, dtype=np.int64)
-            self._np_csr = (head, elist, to)
-        head, elist, to = self._np_csr
-        cap = np.frombuffer(self.cap, dtype=np.int64)
-        level = np.full(self.n, -1, dtype=np.int64)
-        level[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        depth = 0
-        while frontier.size:
-            depth += 1
-            starts = head[frontier]
-            counts = head[frontier + 1] - starts
-            total = int(counts.sum())
-            if not total:
-                break
-            ends = np.cumsum(counts)
-            # Concatenated [head[u], head[u+1]) ranges without a Python loop.
-            idx = np.arange(total, dtype=np.int64) + np.repeat(
-                starts - (ends - counts), counts
-            )
-            eids = elist[idx]
-            vs = to[eids]
-            fresh = vs[(cap[eids] > 0) & (level[vs] < 0)]
-            if not fresh.size:
-                break
-            level[fresh] = depth
-            if level[t] >= 0:
-                break
-            frontier = np.unique(fresh)
-        out = self._level
-        out[:] = level.tolist()
-        return out
-
     def _csr_c(self) -> Tuple[array, array, array]:
         """The CSR topology as int32 arrays for the compiled kernel.
 
@@ -303,15 +262,7 @@ class Dinic:
         added = ck.max_flow(
             self.n, to, head, elist, self.cap, s, t, climit, stats
         )
-        dt = time.perf_counter_ns() - t0
-        _obs.incr("dinic.bfs_phases", stats[0])
-        _obs.incr("dinic.aug_paths", stats[1])
-        _obs.incr("dinic.retreats", stats[2])
-        _obs.incr("dinic.flow_pushed", added)
-        _obs.observe("dinic.max_flow_ns", dt)
-        _obs.observe("dinic.max_flow_c_ns", dt)
-        _obs.observe("dinic.phases_per_call", stats[0])
-        _obs.observe("dinic.flow_per_call", added)
+        _record_max_flow("c", time.perf_counter_ns() - t0, *stats, added)
         return added
 
     def max_flow(self, s: int, t: int, kernel: str = "py",
@@ -320,10 +271,9 @@ class Dinic:
 
         Starting from the current residual capacities, so repeated calls
         after capacity increases implement a warm start.  ``kernel``
-        selects the level-graph build: ``"py"`` (pure stdlib, default),
-        ``"np"`` (numpy-vectorized BFS, identical results), or ``"c"``
-        (the compiled kernel of :mod:`repro.offline.kernel`, which runs
-        BFS *and* the blocking-flow DFS natively — identical results).
+        selects the implementation: ``"py"`` (pure stdlib, default) or
+        ``"c"`` (the compiled kernel of :mod:`repro.offline.kernel`, which
+        runs BFS *and* the blocking-flow DFS natively — identical results).
 
         ``limit`` is an optional *known upper bound* on the flow still
         missing (e.g. the unmet demand in a feasibility probe).  Once the
@@ -337,28 +287,20 @@ class Dinic:
             return 0
         if kernel == "c":
             return self._max_flow_c(s, t, limit)
-        bfs = self._bfs_np if kernel == "np" else self._bfs_py
         to, cap, head, elist = self.to, self.cap, self._head, self._elist
         it = self._it
         added = 0
         # Local accumulators: the inner loops stay free of any obs calls;
-        # one guarded flush happens at the single return point below.
+        # one guarded flush happens at each return point below.
         phases = paths = retreats = 0
         t0 = time.perf_counter_ns() if _obs.enabled() else 0
         while True:
             phases += 1
-            level = bfs(s, t)
+            level = self._bfs_py(s, t)
             if level[t] < 0:
                 if _obs.enabled():
-                    dt = time.perf_counter_ns() - t0
-                    _obs.incr("dinic.bfs_phases", phases)
-                    _obs.incr("dinic.aug_paths", paths)
-                    _obs.incr("dinic.retreats", retreats)
-                    _obs.incr("dinic.flow_pushed", added)
-                    _obs.observe("dinic.max_flow_ns", dt)
-                    _obs.observe("dinic.max_flow_%s_ns" % kernel, dt)
-                    _obs.observe("dinic.phases_per_call", phases)
-                    _obs.observe("dinic.flow_per_call", added)
+                    _record_max_flow("py", time.perf_counter_ns() - t0,
+                                     phases, paths, retreats, added)
                 return added
             # Blocking flow: iterative DFS with current-arc pointers into
             # the CSR edge list (allocation-free: `it` is reset in place).
@@ -375,15 +317,8 @@ class Dinic:
                         cap[e ^ 1] += aug
                     if limit is not None and added >= limit:
                         if _obs.enabled():
-                            dt = time.perf_counter_ns() - t0
-                            _obs.incr("dinic.bfs_phases", phases)
-                            _obs.incr("dinic.aug_paths", paths)
-                            _obs.incr("dinic.retreats", retreats)
-                            _obs.incr("dinic.flow_pushed", added)
-                            _obs.observe("dinic.max_flow_ns", dt)
-                            _obs.observe("dinic.max_flow_%s_ns" % kernel, dt)
-                            _obs.observe("dinic.phases_per_call", phases)
-                            _obs.observe("dinic.flow_per_call", added)
+                            _record_max_flow("py", time.perf_counter_ns() - t0,
+                                             phases, paths, retreats, added)
                         return added
                     # Retreat to the shallowest saturated edge.
                     cut = next(i for i, e in enumerate(path) if not cap[e])
@@ -495,7 +430,7 @@ def _feasibility_topology_c(
 
     Byte-for-byte the same ``(to, head, elist)`` contents (pinned by
     ``tests/test_kernel.py``); arrays instead of lists so the compiled
-    kernel reads them zero-copy.  The interpreted kernels can index them
+    kernel reads them zero-copy.  The interpreted kernel can index them
     too, but each kernel keeps its own cached topology representation
     (``NetworkTables.topology`` vs ``topology_c``) so neither pays the
     other's access cost.

@@ -93,8 +93,8 @@ class NetworkTables:
     demands, ``· speed`` for capacities), so a network build is pure integer
     array work.  ``topology`` starts ``None`` and is filled by the first
     :class:`~repro.offline.dinic.FeasibilityNetwork` build with the shared
-    immutable CSR arrays ``(to, head, elist)``; later builds (other speeds,
-    the numpy kernel) reuse them and only allocate a capacity array.
+    immutable CSR arrays ``(to, head, elist)``; later builds (other
+    speeds) reuse them and only allocate a capacity array.
     """
 
     __slots__ = (

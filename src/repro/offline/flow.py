@@ -17,25 +17,23 @@ All rational data is scaled by the common denominator so the flow problem is
 explicit migratory :class:`~repro.model.schedule.Schedule` by McNaughton's
 wrap-around rule inside each elementary interval.
 
-Four interchangeable solver backends answer the flow question (the default
-``"auto"`` resolves to the fastest one available — see
+Three interchangeable solver backends answer the flow question (the default
+``"auto"`` resolves to the fastest Dinic kernel available — see
 :func:`resolve_backend`):
 
 * ``"dinic"`` — the flat-array solver in :mod:`repro.offline.dinic`, fed by
   the per-instance memo in :mod:`repro.offline.feascache` (event intervals,
   scales, and verdicts are computed once per instance; feasibility probes
   warm-start each other);
-* ``"dinic_np"`` — the same solver with a numpy-vectorized BFS level build
-  (bit-identical levels, hence bit-identical flows); opt-in and
-  differential-tested against the pure-stdlib kernel;
 * ``"dinic_c"`` — the compiled kernel of :mod:`repro.offline.kernel`: the
   whole blocking-flow loop (plus the greedy pass, topology build, and
   warm-start capacity updates) runs natively over the same zero-copy
-  buffers, bit-identical again; lazily compiled at first use and
+  buffers with bit-identical flows; lazily compiled at first use and
   unavailable (gracefully) when no C compiler or cached build exists;
 * ``"networkx"`` — the original generic ``nx.maximum_flow`` formulation,
   kept as an independent implementation for differential testing and as the
-  baseline in ``benchmarks/bench_scale.py``.
+  baseline in ``benchmarks/bench_scale.py``; networkx is an optional
+  dependency, imported only when this backend runs.
 
 All backends consume the *sparsified* event intervals by default (zero-
 demand elementary intervals dropped before the network is built — see
@@ -45,11 +43,10 @@ elementary structure, with provably identical results.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..model.instance import Instance
 from ..model.intervals import Numeric, to_fraction
@@ -60,25 +57,14 @@ _SOURCE = "s"
 _SINK = "t"
 
 #: Solver backends accepted by :func:`max_flow_assignment` and friends.
-BACKENDS = ("dinic", "dinic_np", "dinic_c", "networkx")
+BACKENDS = ("dinic", "dinic_c", "networkx")
 
 #: ``"auto"`` resolves to the fastest kernel available in this process
-#: (``dinic_c`` → ``dinic_np`` → ``dinic``); see :func:`resolve_backend`.
+#: (``dinic_c`` → ``dinic``); see :func:`resolve_backend`.
 DEFAULT_BACKEND = "auto"
 
-#: Dinic-family backends and the level-graph kernel each one selects.
-_DINIC_KERNELS = {"dinic": "py", "dinic_np": "np", "dinic_c": "c"}
-
-#: Inverse map: kernel name → backend name (used by the auto resolution).
-_KERNEL_BACKENDS = {"py": "dinic", "np": "dinic_np", "c": "dinic_c"}
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS and backend != "auto":
-        raise ValueError(
-            f"unknown flow backend {backend!r}; expected one of "
-            f"{BACKENDS + ('auto',)}"
-        )
+#: Dinic-family backends and the kernel each one selects.
+_DINIC_KERNELS = {"dinic": "py", "dinic_c": "c"}
 
 
 def resolve_backend(backend: str = DEFAULT_BACKEND) -> str:
@@ -86,9 +72,9 @@ def resolve_backend(backend: str = DEFAULT_BACKEND) -> str:
 
     ``"auto"`` picks the fastest kernel usable in this process, probing the
     ladder ``dinic_c`` (compiled; needs a C compiler or a warm build cache)
-    → ``dinic_np`` (numpy BFS) → ``dinic`` (pure stdlib).  All three
-    produce bit-identical flows, so the choice is invisible except in
-    speed; the resolved name is what result metadata and obs spans record.
+    → ``dinic`` (pure stdlib).  Both produce bit-identical flows, so the
+    choice is invisible except in speed; the resolved name is what result
+    metadata and obs spans record.
     Concrete names pass through unchanged (after validation) — including
     ``dinic_c`` on a host that cannot provide it, which then raises
     :class:`~repro.offline.kernel.KernelUnavailable` at first use rather
@@ -97,22 +83,30 @@ def resolve_backend(backend: str = DEFAULT_BACKEND) -> str:
     if backend == "auto":
         from .kernel import best_kernel
 
-        return _KERNEL_BACKENDS[best_kernel()]
-    _check_backend(backend)
+        return "dinic_c" if best_kernel() == "c" else "dinic"
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown flow backend {backend!r}; expected one of "
+            f"{BACKENDS + ('auto',)}"
+        )
     return backend
 
 
 def available_backends() -> Tuple[str, ...]:
     """The subset of :data:`BACKENDS` usable in this process.
 
-    Only ``dinic_c`` is conditional (it needs a C compiler or a warm build
-    cache, and honors the ``REPRO_DINIC_C=off`` escape hatch); this is the
-    default backend set of the differential harness, so cross-checks run
-    everywhere without configuration.
+    ``dinic_c`` needs a C compiler or a warm build cache (and honors the
+    ``REPRO_DINIC_C=off`` escape hatch); ``networkx`` needs the optional
+    package.  This is the default backend set of the differential harness,
+    so cross-checks run everywhere without configuration.
     """
     from .kernel import available
 
-    return tuple(b for b in BACKENDS if b != "dinic_c" or available())
+    return tuple(
+        b for b in BACKENDS
+        if (b != "dinic_c" or available())
+        and (b != "networkx" or importlib.util.find_spec("networkx"))
+    )
 
 
 def _event_intervals(instance: Instance) -> List[Tuple[Fraction, Fraction]]:
@@ -143,7 +137,10 @@ def _build_network(
     speed: Fraction,
     intervals: List[Tuple[Fraction, Fraction]],
     scale: int,
-) -> nx.DiGraph:
+):
+    """The generic ``networkx`` formulation of the feasibility network."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     for k, (a, b) in enumerate(intervals):
         cap = int((b - a) * speed * scale)
@@ -200,6 +197,8 @@ def max_flow_assignment(
         cache = cache_for(instance, sparsify=sparsify)
         network = cache.solved_network(m, speed, kernel)
         return network.feasible, network.work_by_job(speed, scale), intervals
+    import networkx as nx
+
     graph = _build_network(instance, m, speed, intervals, scale)
     total = sum(int(j.processing * scale) for j in instance)
     flow_value, flow_dict = nx.maximum_flow(
@@ -341,6 +340,8 @@ def networkx_min_cut(
     if len(instance) == 0 or m <= 0:
         # No network to cut: every job (with its whole window) is a witness.
         return [j.id for j in instance], []
+    import networkx as nx
+
     speed = to_fraction(speed)
     intervals, scale = _scaled_inputs(instance, speed, sparsify)
     graph = _build_network(instance, m, speed, intervals, scale)

@@ -440,12 +440,13 @@ def simulate(
 
 
 def succeeds(policy: Policy, instance: Instance, machines: int, speed: Numeric = 1) -> bool:
-    """True iff the policy schedules the instance with no deadline miss."""
+    """True iff the policy schedules the instance with no deadline miss.
+
+    An :class:`EngineError` is a policy bug, not a miss, and propagates.
+    """
     try:
         engine = simulate(policy, instance, machines, speed, on_miss="raise")
     except InfeasibleOnline:
-        return False
-    except EngineError:
         return False
     return not engine.missed_jobs
 

@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from ..model.io import InstanceFormatError, instance_from_dict
 from ..obs.prom import render_prometheus
 from ..obs.sinks import Registry, jsonable
+from ..offline.flow import available_backends
 from .cache import TenantCachePool
 from .errors import (
     ApiError,
@@ -278,8 +279,12 @@ class ServeApp:
         if speed <= 0:
             raise BadRequest(f"speed must be positive, got {speed}")
         backend = body.get("backend", "auto")
-        if backend not in ("auto", "dinic", "dinic_np", "dinic_c", "networkx"):
-            raise BadRequest(f"unknown backend {backend!r}")
+        backends = ("auto", *available_backends())
+        if backend not in backends:
+            raise BadRequest(
+                f"unknown or unavailable backend {backend!r}; "
+                f"available: {', '.join(backends)}"
+            )
         return tenant, instance, speed, backend
 
     # -- compute endpoints -----------------------------------------------------

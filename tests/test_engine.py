@@ -202,6 +202,17 @@ class TestHelpers:
     def test_min_machines(self, parallel_units):
         assert min_machines(lambda k: EDF(), parallel_units) == 3
 
+    def test_min_machines_surfaces_policy_bugs(self):
+        """Swallowing this policy's EngineError would report 3 machines, not 1."""
+
+        class OnlyMachineTwo(Policy):
+            def select(self, engine):
+                active = engine.active_jobs()
+                return {2: active[0].job.id} if active else {}
+
+        with pytest.raises(EngineError, match="out of range"):
+            min_machines(lambda k: OnlyMachineTwo(), Instance([Job(0, 1, 2, id=0)]))
+
     def test_min_machines_empty(self):
         assert min_machines(lambda k: EDF(), Instance([])) == 0
 

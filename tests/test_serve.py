@@ -37,6 +37,8 @@ import pytest
 from repro.model import Instance, Job
 from repro.model.io import instance_to_dict
 from repro.obs.sinks import Registry, jsonable
+from repro.offline import kernel
+from repro.offline.flow import available_backends
 from repro.runner import Journal, canonical_report_view, run_sweep
 from repro.serve import (
     BadRequest,
@@ -183,6 +185,7 @@ class TestHardening:
             {"speed": "fast"},
             {"speed": "1/0"},
             {"backend": "simplex"},
+            {"backend": "dinic_" + "np"},  # the retired numpy-BFS backend
             {"instance": None},
             {"instance": []},
         ],
@@ -194,6 +197,19 @@ class TestHardening:
         resp = client.post("/v1/certify", json=body)
         assert resp.status == 400
         assert resp.json()["error"]["code"] == "bad_request"
+
+    def test_unavailable_backend_is_400(self, monkeypatch):
+        monkeypatch.setenv(kernel.DISABLE_ENV, "off")
+        kernel.reset()
+        try:
+            resp = TestClient(make_app()).post(
+                "/v1/certify", json=payload_for(MCNAUGHTON, m=2, backend="dinic_c")
+            )
+            available = ", ".join(("auto", *available_backends()))
+        finally:
+            kernel.reset()  # re-probe against the restored environment
+        assert resp.status == 400 and "dinic_c" not in available
+        assert resp.json()["error"]["message"].endswith("available: " + available)
 
     def test_oversized_body_is_413(self):
         client = TestClient(make_app(max_body=256))

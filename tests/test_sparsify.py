@@ -73,16 +73,6 @@ class TestGoldenCorpus:
             full, sort_keys=True
         )
 
-    @pytest.mark.parametrize("case", CASES, ids=_case_id)
-    def test_kernels_identical(self, case):
-        """dinic vs dinic_np: the numpy BFS yields bit-identical flows."""
-        pytest.importorskip("numpy")
-        instance = load(os.path.join(CORPUS_DIR, case["file"]))
-        speed = Fraction(case["speed"])
-        py = _certified_pair(instance, speed, "dinic", True)
-        np_ = _certified_pair(instance, speed, "dinic_np", True)
-        assert json.dumps(py, sort_keys=True) == json.dumps(np_, sort_keys=True)
-
 
 class TestSparsificationEngages:
     """The reduction is real (not vacuously tested) and observable."""

@@ -18,6 +18,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.offline.flow import BACKENDS  # noqa: E402
+
 PACKAGES = [
     "repro.model",
     "repro.offline",
@@ -62,8 +64,9 @@ CLI_SECTION = [
     "| `repro verify INSTANCE.json` | Certified optimum: prints the optimum"
     " with its feasible/infeasible witness pair, re-checked by exact"
     " arithmetic. |",
-    "| `repro opt INSTANCE.json [--backend auto\\|dinic\\|dinic_np\\|dinic_c"
-    "\\|networkx]` | Exact migratory/non-migratory optima; `auto` (default)"
+    "| `repro opt INSTANCE.json [--backend "
+    + "\\|".join(("auto", *BACKENDS))
+    + "]` | Exact migratory/non-migratory optima; `auto` (default)"
     " picks the fastest available Dinic kernel, compiling the native one on"
     " first use. |",
     "| `repro verify INSTANCE.json --m M [--speed S] [--backend B]` |"
