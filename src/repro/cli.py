@@ -27,6 +27,22 @@ Subcommands (``python -m repro <cmd> …`` or the ``repro`` entry point):
 Every subcommand accepts ``--trace OUT.jsonl``: the run's full span/counter
 event stream (see :mod:`repro.obs`) is written as JSON lines for offline
 analysis.
+
+Exit status: ``0`` success; ``1`` the command ran and reports a negative
+result (an infeasible schedule, missed deadlines, an incomplete journal) or
+rejected an argument value; ``2`` a usage error (argparse); ``130``
+interrupted.  Typed failures print one line, ``repro: <Type>: <message>``,
+on stderr and exit with a code per class:
+
+* ``3`` — :class:`OSError` (a file cannot be read or written);
+* ``4`` — :class:`~repro.model.io.InstanceFormatError` (not a valid
+  instance or schedule file);
+* ``5`` — :class:`~repro.runner.journal.JournalError`, including
+  :class:`~repro.runner.merge.MergeError` (an unusable sweep journal);
+* ``6`` — :class:`~repro.offline.kernel.KernelUnavailable` (``--backend
+  dinic_c`` on a host that cannot build the compiled kernel);
+* ``7`` — :class:`ImportError` for a missing optional oracle (networkx or
+  scipy, e.g. ``--backend networkx`` without networkx installed).
 """
 
 from __future__ import annotations
@@ -53,7 +69,7 @@ from .generators import (
     uniform_random_instance,
 )
 from .model import Instance, Schedule
-from .model.io import InstanceFormatError, load, save
+from .model.io import load, save
 from .offline.flow import BACKENDS, DEFAULT_BACKEND, resolve_backend
 from .offline.nonmigratory import nonmigratory_optimum_bounds
 from .offline.optimum import migratory_optimum
@@ -87,11 +103,53 @@ GENERATORS = {
 }
 
 
+EXIT_OS_ERROR = 3
+EXIT_FORMAT_ERROR = 4
+EXIT_JOURNAL_ERROR = 5
+EXIT_KERNEL_UNAVAILABLE = 6
+EXIT_MISSING_ORACLE = 7
+
+#: Optional packages whose absence is a typed failure, not a crash.
+_OPTIONAL_ORACLES = ("networkx", "scipy")
+
+#: ``(module, class, exit code)`` of the typed failures defined in the
+#: package.  Looked up in ``sys.modules`` when an error arrives: an instance
+#: of a class implies its module is loaded, so the CLI imports none of them
+#: up front.
+_TYPED_ERRORS = (
+    ("repro.model.io", "InstanceFormatError", EXIT_FORMAT_ERROR),
+    ("repro.runner.journal", "JournalError", EXIT_JOURNAL_ERROR),
+    ("repro.offline.kernel.build", "KernelUnavailable", EXIT_KERNEL_UNAVAILABLE),
+)
+
+
+class CliError(SystemExit):
+    """A typed failure: exits with its code; ``str()`` is the message line."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(code)
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message
+
+
+def exit_code_for(exc: BaseException):
+    """The documented exit code of a typed failure, or ``None``."""
+    for module, name, code in _TYPED_ERRORS:
+        cls = getattr(sys.modules.get(module), name, None)
+        if cls is not None and isinstance(exc, cls):
+            return code
+    if isinstance(exc, ImportError):
+        missing = (getattr(exc, "name", None) or "").split(".")[0]
+        return EXIT_MISSING_ORACLE if missing in _OPTIONAL_ORACLES else None
+    if isinstance(exc, OSError):
+        return EXIT_OS_ERROR
+    return None
+
+
 def _load_instance(path: str) -> Instance:
-    try:
-        obj = load(path)
-    except InstanceFormatError as exc:
-        raise SystemExit(str(exc)) from None
+    obj = load(path)
     if not isinstance(obj, Instance):
         raise SystemExit(f"{path} does not contain an instance")
     return obj
@@ -453,7 +511,6 @@ def cmd_sweep(args) -> int:
         FAMILIES,
         FaultPlan,
         InstanceSpec,
-        JournalError,
         SweepPlan,
         journal_status,
         merge_journals,
@@ -471,10 +528,7 @@ def cmd_sweep(args) -> int:
                 "sweep status expects exactly one journal, e.g. "
                 "repro sweep status journal.jsonl"
             )
-        try:
-            status = journal_status(args.journals[0])
-        except JournalError as exc:
-            raise SystemExit(str(exc))
+        status = journal_status(args.journals[0])
         if args.json:
             print(_json.dumps(status, indent=2))
             return 0 if status["complete"] else 1
@@ -513,10 +567,7 @@ def cmd_sweep(args) -> int:
             )
         if args.shard:
             raise SystemExit("--shard does not apply to 'sweep merge'")
-        try:
-            report = merge_journals(args.journals)
-        except JournalError as exc:
-            raise SystemExit(str(exc))
+        report = merge_journals(args.journals)
         if args.snapshot:
             with open(args.snapshot, "w", encoding="utf-8") as fh:
                 _json.dump(report.snapshot(), fh, indent=2)
@@ -993,8 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     trace_path = getattr(args, "trace", None)
     if not trace_path:
         return args.func(args)
@@ -1004,6 +1054,27 @@ def main(argv=None) -> int:
     finally:
         obs.detach(sink)
         sink.close()
+
+
+def main(argv=None) -> int:
+    """Run one subcommand; typed failures exit with their documented code.
+
+    A typed failure (see the module docstring) prints one line on stderr
+    and raises :class:`CliError` — a :class:`SystemExit` whose ``code`` is
+    the class's exit code.  Anything else propagates unchanged: it is a bug,
+    and its traceback is the report.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:
+        code = exit_code_for(exc)
+        if code is None:
+            raise
+        text = " ".join(str(exc).split())
+        message = f"repro: {type(exc).__name__}: {text}"
+        print(message, file=sys.stderr)
+        raise CliError(code, message) from None
 
 
 if __name__ == "__main__":

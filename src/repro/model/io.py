@@ -58,17 +58,32 @@ def _field(item: Dict[str, Any], name: str, where: str, source: Optional[str]):
 
 
 def _dec_field(
-    item: Dict[str, Any], name: str, where: str, source: Optional[str]
+    item: Dict[str, Any],
+    name: str,
+    where: str,
+    source: Optional[str],
+    seen: Dict[Any, Fraction],
 ) -> Fraction:
+    """``item[name]`` as a Fraction, one object per distinct value in ``seen``.
+
+    Parsed jobs and segments repeat their times heavily; sharing the
+    objects keeps a long-lived (cached) instance or schedule small.
+    """
     value = _field(item, name, where, source)
+    plain = isinstance(value, (int, str))  # hashable JSON scalars
+    if plain and value in seen:
+        return seen[value]
     try:
-        return _dec(value)
+        number = _dec(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InstanceFormatError(
             f"{where}: field {name!r} is not a valid rational "
             f"({value!r}): {exc}",
             source,
         ) from None
+    if plain:
+        seen[value] = number
+    return number
 
 
 def instance_to_dict(instance: Instance) -> Dict[str, Any]:
@@ -109,13 +124,14 @@ def instance_from_dict(
             source,
         )
     jobs: List[Job] = []
+    seen: Dict[Any, Fraction] = {}
     for i, item in enumerate(raw_jobs):
         where = f"jobs[{i}]"
         try:
             job = Job(
-                _dec_field(item, "release", where, source),
-                _dec_field(item, "processing", where, source),
-                _dec_field(item, "deadline", where, source),
+                _dec_field(item, "release", where, source, seen),
+                _dec_field(item, "processing", where, source, seen),
+                _dec_field(item, "deadline", where, source, seen),
                 id=_field(item, "id", where, source),
                 label=item.get("label", ""),
             )
@@ -166,14 +182,15 @@ def schedule_from_dict(
             source,
         )
     segments: List[Segment] = []
+    seen: Dict[Any, Fraction] = {}
     for i, item in enumerate(raw_segments):
         where = f"segments[{i}]"
         try:
             segment = Segment(
                 _field(item, "job", where, source),
                 _field(item, "machine", where, source),
-                _dec_field(item, "start", where, source),
-                _dec_field(item, "end", where, source),
+                _dec_field(item, "start", where, source, seen),
+                _dec_field(item, "end", where, source, seen),
             )
         except InstanceFormatError:
             raise

@@ -13,10 +13,18 @@ The checker also reports *migrations* (a job processed on more than one
 machine — the paper's central dichotomy), *preemptions*, and the number of
 machines actually used, so a single verified artifact backs all experiment
 measurements.
+
+:meth:`Schedule.verify` is the trust anchor of every feasible certificate,
+so it is self-contained: it imports nothing outside :mod:`repro.model`,
+derives its own integer time unit from the schedule's and the instance's
+exact numbers, and runs in ``O(S log S)`` for ``S`` segments (one grouping
+by machine and by job, one sort per group).  It shares no code with the
+witness extractor in :mod:`repro.offline.flow`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -36,9 +44,14 @@ class Segment:
     end: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "start", to_fraction(self.start))
-        object.__setattr__(self, "end", to_fraction(self.end))
-        if self.end <= self.start:
+        start, end = self.start, self.end
+        if type(start) is not Fraction or type(end) is not Fraction:
+            start, end = to_fraction(start), to_fraction(end)
+            object.__setattr__(self, "start", start)
+            object.__setattr__(self, "end", end)
+        # end <= start, cross-multiplied: denominators are positive, and
+        # this skips Fraction's generic comparison on a hot constructor.
+        if end.numerator * start.denominator <= start.numerator * end.denominator:
             raise ValueError(f"segment for job {self.job_id} has non-positive length")
         if self.machine < 0:
             raise ValueError("machine index must be non-negative")
@@ -91,6 +104,20 @@ class Schedule:
 
     def __init__(self, segments: Iterable[Segment]) -> None:
         object.__setattr__(self, "segments", _merge_adjacent(segments))
+
+    @classmethod
+    def _from_normalized(cls, segments: Tuple[Segment, ...]) -> "Schedule":
+        """Wrap segments that are already in normal form, without re-merging.
+
+        For extractors that build their output merged (no back-to-back
+        segments of one job on one machine) and sorted by ``(start, machine,
+        job_id)``.  Nothing checks the form, and :meth:`verify` does not
+        rely on it: unmerged or unsorted segments verify to the same
+        report.  Only the segment order and count, as serialized, differ.
+        """
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "segments", segments)
+        return schedule
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Schedule is immutable")
@@ -174,82 +201,110 @@ class Schedule:
         When ``machines`` is given the schedule must also fit on that many
         machines — the extra condition that turns a verified schedule into a
         *feasibility certificate at* ``m`` (see :mod:`repro.verify`).
+
+        One pass in ``O(S log S)`` for ``S`` segments: every time is first
+        converted to an integer number of ticks of a common denominator
+        derived here, from the schedule's and the instance's own numbers
+        (never from whoever built the schedule); the segments are then
+        grouped by machine and by job once, each group sorted once, and a
+        job's work is summed from its own group.
         """
         speed = to_fraction(speed)
-        violations: List[str] = []
+        segments = self.segments
+        jobs = list(instance)
+        dens = {s.start.denominator for s in segments}
+        dens.update(s.end.denominator for s in segments)
+        for job in jobs:
+            dens.update((job.release.denominator, job.deadline.denominator,
+                         job.processing.denominator))
+        scale = math.lcm(*dens)
+        mul = {d: scale // d for d in dens}
+        window = {
+            job.id: (job.release.numerator * mul[job.release.denominator],
+                     job.deadline.numerator * mul[job.deadline.denominator])
+            for job in jobs
+        }
 
-        if machines is not None and self.machines_used > machines:
-            violations.append(
-                f"schedule uses {self.machines_used} machines > allowed {machines}"
-            )
-
-        known = {j.id for j in instance}
-        for seg in self.segments:
-            if seg.job_id not in known:
-                violations.append(f"segment references unknown job {seg.job_id}")
-
-        # (1) window containment
-        for seg in self.segments:
-            if seg.job_id not in known:
-                continue
-            job = instance.job(seg.job_id)
-            if seg.start < job.release or seg.end > job.deadline:
-                violations.append(
-                    f"job {seg.job_id} runs [{seg.start},{seg.end}) outside "
+        unknown: List[str] = []
+        outside: List[str] = []
+        by_machine: Dict[int, List[Tuple[int, int, int]]] = {}
+        by_job: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        for idx, seg in enumerate(segments):
+            start, end = seg.start, seg.end
+            a = start.numerator * mul[start.denominator]
+            b = end.numerator * mul[end.denominator]
+            job_id, machine = seg.job_id, seg.machine
+            # (1) window containment
+            win = window.get(job_id)
+            if win is None:
+                unknown.append(f"segment references unknown job {job_id}")
+            elif a < win[0] or b > win[1]:
+                job = instance.job(job_id)
+                outside.append(
+                    f"job {job_id} runs [{start},{end}) outside "
                     f"window [{job.release},{job.deadline})"
                 )
+            # The segment index breaks ties, so each group sorts exactly as
+            # a stable sort on (start) / (start, end) would.
+            by_machine.setdefault(machine, []).append((a, idx, b))
+            by_job.setdefault(job_id, []).append((a, b, idx, machine))
+
+        violations: List[str] = []
+        if machines is not None and len(by_machine) > machines:
+            violations.append(
+                f"schedule uses {len(by_machine)} machines > allowed {machines}"
+            )
+        violations += unknown
+        violations += outside
 
         # (2) machine exclusivity
-        by_machine: Dict[int, List[Segment]] = {}
-        for seg in self.segments:
-            by_machine.setdefault(seg.machine, []).append(seg)
-        for machine, segs in by_machine.items():
-            segs.sort(key=lambda s: s.start)
-            for a, b in zip(segs, segs[1:]):
-                if b.start < a.end:
+        for machine, row in by_machine.items():
+            row.sort()
+            for (_, i, b), (a2, j, _) in zip(row, row[1:]):
+                if a2 < b:
+                    x, y = segments[i], segments[j]
                     violations.append(
-                        f"machine {machine} overlap: job {a.job_id} "
-                        f"[{a.start},{a.end}) vs job {b.job_id} [{b.start},{b.end})"
+                        f"machine {machine} overlap: job {x.job_id} "
+                        f"[{x.start},{x.end}) vs job {y.job_id} [{y.start},{y.end})"
                     )
 
         # (3) no intra-job parallelism, plus migration/preemption counting
         migratory: List[int] = []
         preemptions = 0
-        by_job: Dict[int, List[Segment]] = {}
-        for seg in self.segments:
-            by_job.setdefault(seg.job_id, []).append(seg)
-        for job_id, segs in by_job.items():
-            segs.sort(key=lambda s: (s.start, s.end))
-            for a, b in zip(segs, segs[1:]):
-                if b.start < a.end:
+        busy: Dict[int, int] = {}
+        for job_id, jrow in by_job.items():
+            jrow.sort()
+            for (_, b, _, m1), (a2, _, j, m2) in zip(jrow, jrow[1:]):
+                if a2 < b:
                     violations.append(
-                        f"job {job_id} runs on machines {a.machine} and "
-                        f"{b.machine} simultaneously at {b.start}"
+                        f"job {job_id} runs on machines {m1} and "
+                        f"{m2} simultaneously at {segments[j].start}"
                     )
-                elif b.start > a.end or b.machine != a.machine:
+                elif a2 > b or m2 != m1:
                     preemptions += 1
-            if len({s.machine for s in segs}) > 1:
+            if len({r[3] for r in jrow}) > 1:
                 migratory.append(job_id)
+            busy[job_id] = sum(r[1] - r[0] for r in jrow)
 
-        # (4) work completion
+        # (4) work completion: busy ticks · speed against p_j, in ticks
         unfinished: Dict[int, Fraction] = {}
-        for job in instance:
-            got = self.work_of(job.id, speed)
-            if got != job.processing:
-                if got < job.processing:
-                    unfinished[job.id] = job.processing - got
-                    violations.append(
-                        f"job {job.id} received {got} < p_j = {job.processing}"
-                    )
+        num, den = speed.numerator, speed.denominator
+        for job in jobs:
+            p = job.processing
+            need = p.numerator * mul[p.denominator] * den
+            have = busy.get(job.id, 0) * num
+            if have != need:
+                got = Fraction(have, scale * den)
+                if have < need:
+                    unfinished[job.id] = p - got
+                    violations.append(f"job {job.id} received {got} < p_j = {p}")
                 else:
-                    violations.append(
-                        f"job {job.id} received {got} > p_j = {job.processing}"
-                    )
+                    violations.append(f"job {job.id} received {got} > p_j = {p}")
 
         return FeasibilityReport(
             feasible=not violations,
             violations=tuple(violations),
-            machines_used=self.machines_used,
+            machines_used=len(by_machine),
             migratory_jobs=tuple(sorted(migratory)),
             preemptions=preemptions,
             unfinished=unfinished,

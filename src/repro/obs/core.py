@@ -122,6 +122,9 @@ class _NoopSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
+    def set(self, **attrs: Any) -> None:
+        pass
+
 
 _NOOP_SPAN = _NoopSpan()
 
@@ -150,6 +153,10 @@ class _Span:
             sink.on_span(path, duration_ns, self.attrs, error)
         return False  # exceptions always propagate
 
+    def set(self, **attrs: Any) -> None:
+        """Add attributes known only once the span's work is done."""
+        self.attrs.update(attrs)
+
 
 def span(name: str, **attrs: Any):
     """Timing context manager: ``with span("dinic.solve", m=m): …``.
@@ -157,7 +164,9 @@ def span(name: str, **attrs: Any):
     The span's full path is the ``/``-joined chain of enclosing span names,
     so nested calls show up as ``optimum.search/optimum.probe/dinic.solve``.
     Exceptions propagate; the span is still closed and reported with the
-    exception's class name attached.
+    exception's class name attached.  ``with span(...) as sp: sp.set(k=v)``
+    adds attributes known only at the end (a no-op while no sink is
+    attached).
     """
     if not (_sinks or _n_local):
         return _NOOP_SPAN

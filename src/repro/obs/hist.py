@@ -27,7 +27,9 @@ The distribution primitive of obs v2.  Design constraints, in order:
 
 Non-positive values are counted in a dedicated ``zeros`` bucket (upper
 bound 0) rather than log-bucketed; they still contribute to ``count``,
-``sum``, ``min``, and ``max``.
+``sum``, ``min``, and ``max``.  Equal extremes of different types (``0``,
+``Fraction(0)``, ``0.0``) are kept by a fixed type order, so the snapshot of
+a merge never depends on its order.
 
 Naming convention (consumed by ``canonical_report_view`` and the trace
 tools): histogram names ending in ``_ns`` hold wall-clock durations in
@@ -121,6 +123,19 @@ def _exact(value: Number) -> Union[int, Fraction]:
     return Fraction(value)
 
 
+def _rank(value: Number) -> int:
+    """Tie-break between *equal* extremes of different types.
+
+    ``0 == Fraction(0) == 0.0 == -0.0`` but they snapshot differently, so
+    which one ``min``/``max`` keeps must not depend on observation or merge
+    order: the lowest rank wins — int, then Fraction, then float, with
+    ``-0.0`` last.
+    """
+    if isinstance(value, float):
+        return 3 if math.copysign(1.0, value) < 0 else 2
+    return 1 if isinstance(value, Fraction) else 0
+
+
 def _jsonable_number(value: Any) -> Any:
     """Ints and floats pass through; Fractions serialize as ``"p/q"``."""
     if isinstance(value, Fraction):
@@ -153,9 +168,11 @@ class Hist:
         """Record one value (any real number; ``<= 0`` lands in ``zeros``)."""
         self.count += 1
         self.sum += _exact(value)
-        if self.min is None or value < self.min:
+        low = self.min
+        if low is None or value < low or (value == low and _rank(value) < _rank(low)):
             self.min = value
-        if self.max is None or value > self.max:
+        high = self.max
+        if high is None or value > high or (value == high and _rank(value) < _rank(high)):
             self.max = value
         if value <= 0:
             self.zeros += 1
@@ -168,10 +185,17 @@ class Hist:
         self.count += other.count
         self.zeros += other.zeros
         self.sum += other.sum
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
+        low, high = other.min, other.max
+        if low is not None and (
+            self.min is None or low < self.min
+            or (low == self.min and _rank(low) < _rank(self.min))
+        ):
+            self.min = low
+        if high is not None and (
+            self.max is None or high > self.max
+            or (high == self.max and _rank(high) < _rank(self.max))
+        ):
+            self.max = high
         for index, n in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + n
         return self

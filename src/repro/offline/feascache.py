@@ -251,12 +251,11 @@ class _SpeedState:
 
     def __init__(self, network: FeasibilityNetwork) -> None:
         self.network = network
-        # m → (machines, cap bytes, flow); always contains the m = 0 base.
-        # Snapshots are immutable bytes (copy-on-write: captured by one
-        # memcpy, restored in place, never copied again).
-        self.snapshots: Dict[int, Tuple[int, bytes, int]] = {
-            0: network.snapshot()
-        }
+        # m → (machines, cap bytes, flow) of every probed m ≥ 1.  Snapshots
+        # are immutable bytes (copy-on-write: captured by one memcpy,
+        # restored in place, never copied again).  No m = 0 base is kept:
+        # nothing probes m = 0, and a warm instance pays for every copy.
+        self.snapshots: Dict[int, Tuple[int, bytes, int]] = {}
 
 
 class FeasibilityCache:

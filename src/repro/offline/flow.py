@@ -15,7 +15,15 @@ the paper).  For a candidate machine count ``m``:
 All rational data is scaled by the common denominator so the flow problem is
 *integral* and the answer is exact.  A feasible flow is turned into an
 explicit migratory :class:`~repro.model.schedule.Schedule` by McNaughton's
-wrap-around rule inside each elementary interval.
+wrap-around rule inside each elementary interval.  The wrap stays in
+integers: :func:`schedule_from_work` takes the network's raw flows in its
+own unit (``speed · scale`` ticks per unit of machine time), puts the
+interval endpoints on the same tick, wraps and merges int tuples, and
+builds each :class:`~repro.model.schedule.Segment` once.  Exact work maps
+(the networkx backend, :func:`max_flow_assignment`, :func:`mcnaughton`)
+are first put over their own common denominator and share the same wrap.
+The schedule checker does not reuse any of this: it derives its own tick
+(see :meth:`~repro.model.schedule.Schedule.verify`).
 
 Three interchangeable solver backends answer the flow question (the default
 ``"auto"`` resolves to the fastest Dinic kernel available — see
@@ -196,7 +204,12 @@ def max_flow_assignment(
     if kernel is not None:
         cache = cache_for(instance, sparsify=sparsify)
         network = cache.solved_network(m, speed, kernel)
-        return network.feasible, network.work_by_job(speed, scale), intervals
+        unit = speed * scale
+        work = {
+            job_id: {k: amount / unit for k, amount in row.items()}
+            for job_id, row in network.work_by_job().items()
+        }
+        return network.feasible, work, intervals
     import networkx as nx
 
     graph = _build_network(instance, m, speed, intervals, scale)
@@ -258,58 +271,127 @@ def mcnaughton(
     ``end − start`` and total at most ``m (end − start)``.  Pieces are laid
     out on a virtual timeline of length ``m (end − start)`` and wrapped onto
     machines; a wrapped piece becomes two non-overlapping segments on two
-    machines (this is where migration enters).
+    machines (this is where migration enters).  The wrap itself runs in
+    integer ticks of the inputs' common denominator (:func:`_wrap`).
     """
+    start, end = to_fraction(start), to_fraction(end)
+    pieces = [(job_id, to_fraction(amount)) for job_id, amount in pieces]
+    unit = math.lcm(start.denominator, end.denominator,
+                    *(amount.denominator for _, amount in pieces))
+    ticks = [(job_id, amount.numerator * (unit // amount.denominator))
+             for job_id, amount in pieces]
+    return [
+        Segment(job_id, machine, Fraction(a, unit), Fraction(b, unit))
+        for machine, job_id, a, b in _wrap(
+            ticks, start.numerator * (unit // start.denominator),
+            end.numerator * (unit // end.denominator), m, machine_offset,
+        )
+    ]
+
+
+def _wrap(
+    pieces: Sequence[Tuple[int, int]],
+    start: int,
+    end: int,
+    m: int,
+    machine_offset: int = 0,
+) -> List[Tuple[int, int, int, int]]:
+    """:func:`mcnaughton` on integer ticks: ``(machine, job_id, a, b)`` rows."""
     length = end - start
     if length <= 0:
         raise ValueError("empty elementary interval")
-    segments: List[Segment] = []
-    machine = 0
+    rows: List[Tuple[int, int, int, int]] = []
+    machine = machine_offset
+    last = machine_offset + m
     cursor = start
     for job_id, amount in pieces:
         if amount <= 0:
             continue
         if amount > length:
             raise ValueError(f"piece of job {job_id} exceeds interval length")
-        remaining = amount
-        while remaining > 0:
-            if machine >= m:
+        while amount > 0:
+            if machine >= last:
                 raise ValueError("pieces exceed machine capacity")
-            room = end - cursor
-            take = min(room, remaining)
-            if take > 0:
-                segments.append(
-                    Segment(job_id, machine + machine_offset, cursor, cursor + take)
-                )
+            # cursor < end always holds here, so every row is non-empty
+            take = min(end - cursor, amount)
+            rows.append((machine, job_id, cursor, cursor + take))
             cursor += take
-            remaining -= take
+            amount -= take
             if cursor == end:
                 machine += 1
                 cursor = start
-    return segments
+    return rows
+
+
+def _ticks(work: Dict[int, Dict[int, Fraction]]) -> Tuple[Dict[int, Dict[int, int]], int]:
+    """An exact work map as integer ticks of its amounts' common denominator."""
+    unit = math.lcm(*{amount.denominator for row in work.values() for amount in row.values()})
+    return {
+        job_id: {k: a.numerator * (unit // a.denominator) for k, a in row.items()}
+        for job_id, row in work.items()
+    }, unit
 
 
 def schedule_from_work(
-    work: Dict[int, Dict[int, Fraction]],
+    work: Dict[int, Dict[int, Numeric]],
     intervals: Sequence[Tuple[Fraction, Fraction]],
     m: int,
+    unit: Optional[Numeric] = None,
 ) -> Schedule:
     """Turn a feasible flow's work map into an explicit migratory schedule.
 
-    Within each elementary interval, jobs are sorted by decreasing machine
-    time before the wrap-around so that a job split across the wrap boundary
-    never overlaps itself (its piece is at most the interval length).
+    ``work[job_id][k]`` is the machine time job ``job_id`` spends in
+    interval ``k``: an exact number when ``unit`` is ``None``, or else an
+    integer count of ``1/unit`` ticks — the raw flow of
+    :meth:`~repro.offline.dinic.FeasibilityNetwork.work_by_job` with
+    ``unit = speed · scale``.  Either way the wrap runs on integers: the
+    amounts and the interval endpoints are put over one common tick, the
+    pieces of each interval are sorted by decreasing size (ties by job id)
+    so that a job split across the wrap boundary never overlaps itself (its
+    piece is at most the interval length), adjacent pieces of one job on
+    one machine are merged, and each :class:`Segment` is built once, at
+    the end.
     """
-    segments: List[Segment] = []
-    per_interval: Dict[int, List[Tuple[int, Fraction]]] = {}
+    if unit is None:
+        work, unit = _ticks(work)
+    unit = to_fraction(unit)
+    # machine time = amount / unit = amount·q / p for unit = p/q; refine the
+    # tick 1/p until every interval endpoint is a whole number of ticks.
+    tick = math.lcm(unit.numerator, *{x.denominator for ab in intervals for x in ab})
+    factor = tick // unit.numerator * unit.denominator
+    per_interval: Dict[int, List[Tuple[int, int]]] = {}
     for job_id, row in work.items():
         for k, amount in row.items():
-            per_interval.setdefault(k, []).append((job_id, amount))
+            per_interval.setdefault(k, []).append((job_id, amount * factor))
+    rows: List[Tuple[int, int, int, int]] = []
     for k, pieces in per_interval.items():
         a, b = intervals[k]
-        pieces.sort(key=lambda item: (-item[1], item[0]))
-        segments.extend(mcnaughton(pieces, a, b, m))
-    return Schedule(segments)
+        pieces.sort(key=lambda piece: (-piece[1], piece[0]))
+        rows += _wrap(pieces, a.numerator * (tick // a.denominator),
+                      b.numerator * (tick // b.denominator), m)
+    # Merge back-to-back rows of one job on one machine, then order the
+    # result by (start, machine, job) — the normal form of Schedule.
+    rows.sort()
+    merged: List[List[int]] = []
+    last = None
+    for machine, job_id, a, b in rows:
+        if last is not None and last[1] == machine and last[2] == job_id and last[3] == a:
+            last[3] = b
+        else:
+            last = [a, machine, job_id, b]
+            merged.append(last)
+    merged.sort()
+    times: Dict[int, Fraction] = {}  # segments share endpoints: one Fraction each
+    segments = []
+    for a, machine, job_id, b in merged:
+        start = times.get(a)
+        if start is None:
+            start = times[a] = Fraction(a, tick)
+        end = times.get(b)
+        if end is None:
+            end = times[b] = Fraction(b, tick)
+        segments.append(Segment(job_id, machine, start, end))
+    return Schedule._from_normalized(tuple(segments))
 
 
 def migratory_schedule(

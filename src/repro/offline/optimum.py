@@ -122,8 +122,10 @@ def optimal_migratory_schedule(
         with _obs.span("optimum.extract_schedule", m=m):
             # snapshot restore, no probe
             network = cache.solved_network(m, speed, kernel)
-            work = network.work_by_job(speed, cache.scale_for(speed))
-            return m, schedule_from_work(work, cache.network_intervals, m)
+            return m, schedule_from_work(
+                network.work_by_job(), cache.network_intervals, m,
+                unit=speed * cache.scale_for(speed),
+            )
     return m, migratory_schedule(
         instance, m, speed, backend=backend, sparsify=sparsify
     )

@@ -432,10 +432,20 @@ def simulate(
 ) -> OnlineEngine:
     """Run ``policy`` on a static instance to completion; returns the engine."""
     engine = OnlineEngine(policy, machines=machines, speed=speed, on_miss=on_miss)
+    missed: Optional[InfeasibleOnline] = None
     with _obs.span("engine.simulate", policy=type(policy).__name__,
-                   machines=machines, n=len(instance)):
-        engine.release(instance)
-        engine.run_to_completion()
+                   machines=machines, n=len(instance)) as span:
+        try:
+            engine.release(instance)
+            engine.run_to_completion()
+        except InfeasibleOnline as exc:
+            # A missed deadline is an expected trial outcome, not a span
+            # error: record it and raise once the span has closed.
+            missed = exc
+        span.set(outcome="ok" if missed is None and not engine.missed_jobs
+                 else "infeasible")
+    if missed is not None:
+        raise missed
     return engine
 
 

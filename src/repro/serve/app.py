@@ -95,7 +95,9 @@ def encode_body(response: Response) -> Tuple[bytes, str]:
     """``(body bytes, content type)`` — shared by daemon and testclient."""
     if isinstance(response.payload, str):
         return response.payload.encode("utf-8"), "text/plain; charset=utf-8"
-    body = json.dumps(jsonable(response.payload), sort_keys=True)
+    # Compact separators: a witness schedule is most of a certificate
+    # response, and the spaces alone were ~15% of its bytes.
+    body = json.dumps(jsonable(response.payload), sort_keys=True, separators=(",", ":"))
     return body.encode("utf-8"), "application/json"
 
 

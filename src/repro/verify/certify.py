@@ -2,15 +2,18 @@
 
 ``certify(instance, m)`` answers the feasibility question *with a receipt*:
 
-* feasible → a schedule extracted from the max flow and re-verified by
-  :meth:`Schedule.verify` with exact arithmetic on at most ``m`` machines;
+* feasible → a schedule extracted from the max flow (McNaughton's wrap on
+  the network's integer flows) and re-verified by :meth:`Schedule.verify`
+  with exact arithmetic on at most ``m`` machines;
 * infeasible → a minimum cut of the feasibility network converted into an
   overloaded interval set ``(S, I)`` and checked against Theorem 1 by pure
   workload arithmetic.
 
 Certificates are checked before they are returned (``check=True``), so a
 solver bug surfaces as a :class:`CertificationError` at the call site
-instead of silently poisoning downstream experiments.
+instead of silently poisoning downstream experiments.  Extraction runs in
+an ``offline.extract`` span and the check in a ``verify.check`` span, so a
+trace splits a certificate's cost between the two.
 
 ``certified_optimum`` sandwiches the optimum: a feasible certificate at
 ``m`` plus an infeasible certificate at ``m − 1``.  Instances that are
@@ -105,20 +108,21 @@ def certify(
             # network was built over (sparsified by default).
             intervals = cache.network_intervals
             if network.feasible:
-                work = network.work_by_job(speed, cache.scale_for(speed))
+                with _obs.span("offline.extract", kind="feasible"):
+                    # Raw integer flows, wrapped in the network's own unit.
+                    schedule = schedule_from_work(
+                        network.work_by_job(), intervals, m,
+                        unit=speed * cache.scale_for(speed),
+                    )
                 cert = FeasibleCertificate(
-                    m,
-                    speed,
-                    schedule_from_work(work, intervals, m),
-                    cache_stats=cache.stats.snapshot(),
+                    m, speed, schedule, cache_stats=cache.stats.snapshot()
                 )
             else:
-                job_ids, iv_idx = network.min_cut()
+                with _obs.span("offline.extract", kind="infeasible"):
+                    job_ids, iv_idx = network.min_cut()
+                    region = IntervalUnion.from_pairs(intervals[k] for k in iv_idx)
                 cert = InfeasibleCertificate(
-                    m,
-                    speed,
-                    tuple(job_ids),
-                    IntervalUnion.from_pairs(intervals[k] for k in iv_idx),
+                    m, speed, tuple(job_ids), region,
                     cache_stats=cache.stats.snapshot(),
                 )
         else:
@@ -126,19 +130,16 @@ def certify(
                 instance, m, speed, backend=backend, sparsify=sparsify
             )
             if feasible:
-                cert = FeasibleCertificate(
-                    m, speed, schedule_from_work(work, intervals, m)
-                )
+                with _obs.span("offline.extract", kind="feasible"):
+                    schedule = schedule_from_work(work, intervals, m)
+                cert = FeasibleCertificate(m, speed, schedule)
             else:
-                job_ids, iv_idx = networkx_min_cut(
-                    instance, m, speed, sparsify=sparsify
-                )
-                cert = InfeasibleCertificate(
-                    m,
-                    speed,
-                    tuple(job_ids),
-                    IntervalUnion.from_pairs(intervals[k] for k in iv_idx),
-                )
+                with _obs.span("offline.extract", kind="infeasible"):
+                    job_ids, iv_idx = networkx_min_cut(
+                        instance, m, speed, sparsify=sparsify
+                    )
+                    region = IntervalUnion.from_pairs(intervals[k] for k in iv_idx)
+                cert = InfeasibleCertificate(m, speed, tuple(job_ids), region)
         if check:
             with _obs.span("verify.check", kind=cert.kind, m=m):
                 check_certificate(instance, cert).require()

@@ -342,3 +342,98 @@ class TestErrorPaths:
             main(["classify", str(path)])
         assert str(path) in str(exc_info.value)
         assert "invalid JSON" in str(exc_info.value)
+
+
+class TestTypedFailures:
+    """One error boundary: a one-line message and a stable code per class."""
+
+    @staticmethod
+    def _fails(argv, code, capsys, needle):
+        from repro.cli import CliError
+
+        with pytest.raises(CliError) as exc_info:
+            main(argv)
+        assert exc_info.value.code == code != 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("repro: ")
+        assert needle in err and str(exc_info.value) == err.strip()
+
+    def test_opt_missing_file(self, tmp_path, capsys):
+        from repro.cli import EXIT_OS_ERROR
+
+        missing = str(tmp_path / "missing.json")
+        self._fails(["opt", missing], EXIT_OS_ERROR, capsys,
+                    f"FileNotFoundError: [Errno 2] No such file or directory: '{missing}'")
+
+    def test_verify_missing_file(self, tmp_path, capsys, loose_file):
+        from repro.cli import EXIT_OS_ERROR
+
+        missing = str(tmp_path / "missing.json")
+        self._fails(["verify", missing], EXIT_OS_ERROR, capsys, missing)
+        self._fails(["verify", loose_file, "--schedule", missing],
+                    EXIT_OS_ERROR, capsys, missing)
+
+    def test_trace_analyze_missing_file(self, tmp_path, capsys):
+        from repro.cli import EXIT_OS_ERROR
+
+        missing = str(tmp_path / "missing.jsonl")
+        self._fails(["trace", "analyze", missing], EXIT_OS_ERROR, capsys, missing)
+
+    def test_sweep_resume_missing_file(self, tmp_path, capsys):
+        from repro.cli import EXIT_OS_ERROR
+
+        sweep = ["sweep", "ratio", "--policies", "edf", "--families", "uniform",
+                 "-n", "6", "--seeds", "2", "--resume", "--journal"]
+        # A journal in a directory that does not exist cannot be written.
+        missing = str(tmp_path / "absent" / "j.jsonl")
+        self._fails(sweep + [missing], EXIT_OS_ERROR, capsys, missing)
+        # A missing journal file is a fresh start: nothing settled yet.
+        fresh = tmp_path / "j.jsonl"
+        assert main(sweep + [str(fresh)]) == 0
+        assert fresh.exists()
+
+    def test_format_and_journal_errors(self, tmp_path, capsys):
+        from repro.cli import EXIT_FORMAT_ERROR, EXIT_JOURNAL_ERROR
+
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        self._fails(["opt", str(bad)], EXIT_FORMAT_ERROR, capsys,
+                    "InstanceFormatError: ")
+        self._fails(["sweep", "status", str(bad)], EXIT_JOURNAL_ERROR, capsys,
+                    "JournalError: ")
+        self._fails(["sweep", "merge", str(bad)], EXIT_JOURNAL_ERROR, capsys,
+                    "Error: ")
+
+    @pytest.mark.parametrize("setup, backend, code", [
+        ("import os; os.environ['REPRO_DINIC_C'] = 'off'", "dinic_c", 6),
+        ("import sys; sys.modules['networkx'] = None", "networkx", 7),
+    ], ids=["kernel-unavailable", "missing-oracle"])
+    def test_backend_failures(self, tmp_path, loose_file, setup, backend, code):
+        import os
+        import subprocess
+        import sys
+
+        from repro import cli
+
+        assert code == {"dinic_c": cli.EXIT_KERNEL_UNAVAILABLE,
+                        "networkx": cli.EXIT_MISSING_ORACLE}[backend]
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src, REPRO_KERNEL_CACHE=str(tmp_path))
+        script = (f"{setup}\nimport sys\nfrom repro.cli import main\n"
+                  f"sys.exit(main(['opt', {loose_file!r}, '--backend', {backend!r}]))")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("repro: ")
+
+    def test_bugs_still_raise(self, monkeypatch):
+        from repro import cli
+
+        def boom(args):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr(cli, "_run", boom)
+        with pytest.raises(ZeroDivisionError):
+            main(["classify", "x.json"])
+        assert cli.exit_code_for(ImportError("x", name="numpy")) is None
+        assert cli.exit_code_for(ModuleNotFoundError("x", name="scipy.optimize")) == 7

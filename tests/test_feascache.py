@@ -192,6 +192,18 @@ class TestSnapshotRestore:
             assert state.network.snapshot() == snap
             assert state.network.machines == m
 
+    def test_snapshots_are_exactly_the_probed_counts(self):
+        """One snapshot per probed ``m`` and no unused ``m = 0`` base copy."""
+        inst = uniform_random_instance(15, horizon=30, seed=9)
+        cache = cache_for(inst)
+        hi = window_concurrency(inst)
+        probed = {hi, max(1, hi - 2), max(1, hi - 1)}
+        for m in (hi, max(1, hi - 2), max(1, hi - 1)):
+            cache.feasible(m, Fraction(1))
+        state = cache._state_for(Fraction(1))
+        assert set(state.snapshots) == probed
+        assert cache.stats.probes == len(probed)
+
     def test_shrinking_drains_instead_of_rebuilding(self):
         """A fresh probe below the current state must not rebuild or restore:
         the solver drains the excess flow in place (pinned by stats)."""

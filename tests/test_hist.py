@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.hist import SUBBUCKETS, Hist, bucket_bounds, bucket_index
@@ -137,12 +137,39 @@ def _hist_of(values):
 
 
 @given(_value_lists, _value_lists)
+@example([0], [Fraction(0)])
+@example([0.5], [Fraction(1, 2)])
+@example([-0.0], [0.0])
 @settings(max_examples=100, deadline=None)
 def test_merge_commutative(xs, ys):
     ab = _hist_of(xs).merge(_hist_of(ys))
     ba = _hist_of(ys).merge(_hist_of(xs))
     assert ab == ba
     assert ab.snapshot() == ba.snapshot()
+
+
+@pytest.mark.parametrize("values", [
+    [0, Fraction(0), 0.0, -0.0],
+    [0.5, Fraction(1, 2)],
+    [Fraction(3), 3.0, 3],
+    [-0.0, 0.0],
+])
+def test_equal_extremes_keep_a_fixed_type(values):
+    """Equal values of different types: the same one wins in every order."""
+    kept = []
+    for order in (values, values[::-1]):
+        streamed = _hist_of(order)
+        merged = Hist()
+        for v in order:
+            merged.merge(_hist_of([v]))
+        for h in (streamed, merged):
+            kept.append((repr(h.min), repr(h.max)))
+            assert h.snapshot() == streamed.snapshot()
+    assert len(set(kept)) == 1, kept
+    winner = repr(sorted(values, key=lambda v: (
+        isinstance(v, float), isinstance(v, float) and math.copysign(1, v) < 0,
+        isinstance(v, Fraction)))[0])
+    assert kept[0] == (winner, winner)
 
 
 @given(_value_lists, _value_lists, _value_lists)

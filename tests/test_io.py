@@ -71,6 +71,37 @@ class TestScheduleRoundTrip:
             dumps(42)
 
 
+class TestSharedValues:
+    """Parsed times are one object per distinct value (warm caches hold them)."""
+
+    def test_instance_jobs_share_equal_times(self):
+        data = {"kind": "instance", "jobs": [
+            {"id": 0, "release": 0, "processing": "3/2", "deadline": 4},
+            {"id": 1, "release": "0", "processing": "3/2", "deadline": 4},
+            {"id": 2, "release": 4, "processing": 2, "deadline": 7},
+        ]}
+        a, b, c = instance_from_dict(data)
+        assert a.processing is b.processing and a.deadline is b.deadline
+        assert a.deadline is c.release and c.processing == 2
+        assert a.release == b.release == 0  # "0" and 0: equal values, either object
+
+    def test_schedule_segments_share_endpoints(self):
+        sched = schedule_from_dict(schedule_to_dict(Schedule(
+            [Segment(0, 0, 0, Fraction(1, 3)), Segment(1, 0, Fraction(1, 3), 1)])))
+        first, second = sched.segments
+        assert first.end is second.start
+
+    @pytest.mark.parametrize("bad", [[1], {"x": 1}, None, "x/y"])
+    def test_unhashable_or_bad_values_still_named(self, bad):
+        from repro.model.io import InstanceFormatError
+
+        data = {"kind": "instance", "jobs": [
+            {"id": 0, "release": 0, "processing": 1, "deadline": 4},
+            {"id": 1, "release": bad, "processing": 1, "deadline": 4}]}
+        with pytest.raises(InstanceFormatError, match=r"jobs\[1\].*'release'"):
+            instance_from_dict(data)
+
+
 class TestFileIO:
     def test_save_load(self, tmp_path):
         inst = Instance([Job(0, 1, 3, id=0)])

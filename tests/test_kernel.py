@@ -26,11 +26,13 @@ from __future__ import annotations
 import json
 import os
 import random
+import time
 from array import array
 from fractions import Fraction
 
 import pytest
 
+from repro import obs
 from repro.model import Instance, Job
 from repro.model.io import load
 from repro.offline import kernel
@@ -43,6 +45,7 @@ from repro.offline.flow import (
 )
 from repro.offline.kernel import KernelUnavailable
 from repro.offline.kernel.codegen import ABI_VERSION, source_hash
+from repro.offline.optimum import migratory_optimum
 from repro.verify import Unsatisfiable, certified_optimum
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "corpus")
@@ -324,22 +327,40 @@ class TestKillSet:
                     cached.dinic.cap.tobytes()
                 ), (kern, m)
 
+    def test_standalone_caps_at_a_fractional_speed_scale(self):
+        """Without tables, interval caps are ``⌊|E_k| · speed · scale⌋``."""
+        inst = Instance([Job(0, 2, 2, id=0), Job(2, 2, 4, id=1),
+                         Job(4, 1, 7, id=2)])
+        intervals = cache_for(inst).tables.intervals
+        net = FeasibilityNetwork(inst, Fraction(5, 2), intervals, 1)
+        assert [b - a for a, b in intervals] == [2, 2, 3]
+        assert list(net.iv_caps) == [5, 5, 7]
+
+    def test_compiled_solve_records_its_own_duration(self):
+        """``dinic.max_flow_c_ns`` samples are durations, not timestamps."""
+        jobs = [Job(i % 7, 1 + i % 3, i % 7 + 6, id=i) for i in range(40)]
+        with obs.capture() as reg:
+            t0 = time.perf_counter_ns()
+            migratory_optimum(Instance(jobs), backend="dinic_c")
+            wall = time.perf_counter_ns() - t0
+        hist = reg.hists["dinic.max_flow_c_ns"]
+        assert hist.count > 0 and 0 <= hist.min and hist.max <= wall
+
     def test_greedy_and_grow_paths_match(self):
         inst = Instance(
             [Job(0, 3, 5, id=0), Job(1, 2, 4, id=1), Job(2, 4, 9, id=2),
              Job(0, 1, 2, id=3)]
         )
         cache = cache_for(inst)
-        scale = cache.scale_for(Fraction(1))
         for m in (1, 2, 3):
             net_py = cache.solved_network(m, 1, "py")
             feas_py, snap_py = net_py.feasible, net_py.snapshot()
-            work_py = net_py.work_by_job(Fraction(1), scale) if feas_py else None
+            work_py = net_py.work_by_job() if feas_py else None
             net_c = cache.solved_network(m, 1, "c")
             assert net_c.feasible == feas_py
             assert net_c.snapshot() == snap_py
             if feas_py:
-                assert net_c.work_by_job(Fraction(1), scale) == work_py
+                assert net_c.work_by_job() == work_py
 
 
 class TestResolution:

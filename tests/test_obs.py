@@ -26,6 +26,7 @@ from repro.model import Instance, Job
 from repro.model.io import load
 from repro.obs import core as obs_core
 from repro.offline.feascache import CacheStats, cache_for
+from repro.offline.flow import available_backends
 from repro.offline.optimum import migratory_optimum
 from repro.verify import certificate_from_dict, certified_optimum, certify
 
@@ -306,3 +307,63 @@ class TestCacheStatsSurfaced:
         assert cert.kind == "infeasible"
         assert cert.cache_stats is not None
         assert cert.cache_stats.probes >= 1
+
+
+class TestLedgerSpans:
+    """Certificates split extract from check; expected misses are no errors."""
+
+    @staticmethod
+    def _spans(fn):
+        events = []
+
+        class Probe(obs.Sink):
+            def on_span(self, path, duration_ns, attrs, error):
+                events.append((path, dict(attrs), error))
+
+        sink = obs.attach(Probe())
+        try:
+            fn()
+        finally:
+            obs.detach(sink)
+        return events
+
+    @pytest.mark.parametrize(
+        "backend", [b for b in ("dinic", "networkx") if b in available_backends()])
+    def test_certify_opens_extract_next_to_check(self, backend):
+        inst = Instance([Job(0, 2, 3, id=i) for i in range(3)])
+        for m, kind in ((2, "feasible"), (1, "infeasible")):
+            events = self._spans(lambda: certify(inst, m, backend=backend))
+            by_path = {path: (attrs, error) for path, attrs, error in events}
+            assert by_path["verify.certify/offline.extract"] == ({"kind": kind}, None)
+            assert by_path["verify.certify/verify.check"][0]["kind"] == kind
+
+    def test_spans_stay_noops_without_sinks(self):
+        assert obs.span("offline.extract") is obs_core._NOOP_SPAN
+        obs.span("x").set(outcome="ok")  # accepted and dropped
+
+    def test_simulate_records_outcome_not_error(self):
+        from repro.online.base import InfeasibleOnline
+        from repro.online.edf import EDF
+        from repro.online.engine import simulate
+
+        inst = Instance([Job(0, 2, 2, id=i) for i in range(3)])
+
+        def run(machines):
+            return simulate(EDF(), inst, machines, on_miss="raise")
+
+        events = self._spans(lambda: run(3))
+        assert [(p, a["outcome"], e) for p, a, e in events] == [
+            ("engine.simulate", "ok", None)]
+
+        def miss():
+            with pytest.raises(InfeasibleOnline):
+                run(2)
+
+        events = self._spans(miss)
+        assert [(p, a["outcome"], e) for p, a, e in events] == [
+            ("engine.simulate", "infeasible", None)]
+        # With no sink attached the miss still raises.
+        with pytest.raises(InfeasibleOnline):
+            run(2)
+        recorded = self._spans(lambda: simulate(EDF(), inst, 2, on_miss="record"))
+        assert recorded[0][1]["outcome"] == "infeasible"

@@ -8,6 +8,11 @@ must finish inside a hard wall-clock budget enforced by
 :func:`repro.runner.faults.time_limit` (SIGALRM where available).  A
 regression to quadratic behaviour blows the budget by an order of
 magnitude rather than shaving a margin.
+
+Its sibling certifies the same verdict: the witness schedule is extracted
+from the flow and re-checked by the exact checker inside the same budget.
+A checker that rescans every segment per job (``O(n·S)``, ~10¹⁰ steps
+here) could never meet it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from repro.model import Instance
 from repro.offline.feascache import cache_for
 from repro.offline.flow import migratory_feasible, resolve_backend
 from repro.runner.faults import ItemTimeout, time_limit
+from repro.verify import certify
 
 #: Wall-clock budget (seconds) for build + tables + one probe on the
 #: fastest available backend (``auto``: dinic_c → dinic).  The
@@ -50,3 +56,23 @@ def test_100k_probe_within_budget():
     tables = cache.tables
     assert tables.n_edges >= 100_000  # ≥ one source arc per job
     assert cache.stats.probes == 1
+
+
+@pytest.mark.slow
+def test_100k_certificate_within_budget():
+    backend = resolve_backend()
+    jobs = list(uniform_random_instance(100_000, horizon=200_000, seed=42))
+    try:
+        with time_limit(SMOKE_BUDGET_S, label="n=100k certificate"):
+            instance = Instance(jobs)
+            hi = cache_for(instance).window_concurrency
+            cert = certify(instance, hi, backend=backend)  # extracted + checked
+    except ItemTimeout:  # pragma: no cover - the failure mode under test
+        pytest.fail(
+            f"n=100,000 certificate exceeded {SMOKE_BUDGET_S}s budget "
+            f"on backend {backend}"
+        )
+    assert cert.kind == "feasible"
+    schedule = cert.schedule
+    assert len(schedule) >= len(instance)  # every job runs at least once
+    assert schedule.machines_used <= hi

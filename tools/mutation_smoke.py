@@ -3,7 +3,7 @@
 
 Applies small, deterministic AST mutations (operator swaps, comparison
 negations, min/max swaps) to the solver modules under ``src/repro/offline/``
-— plus the sweep-sharding partition (``runner/plan.py::shard``), the
+— plus the witness checker (``model/schedule.py::verify``), the sweep-sharding partition (``runner/plan.py::shard``), the
 multi-journal merge (``runner/merge.py::merge_journals``), and the obs v2
 histogram core (``obs/hist.py`` bucket/merge/quantile logic) — and re-runs
 the kill-set tests for each mutant.  Every mutant must be *killed* — a
@@ -43,6 +43,8 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
     "src/repro/offline/dinic.py": None,
     "src/repro/offline/flow.py": {
         "mcnaughton",
+        "_wrap",
+        "_ticks",
         "schedule_from_work",
         "_build_network",
         "networkx_min_cut",
@@ -50,6 +52,12 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
         "migratory_feasible",
     },
     "src/repro/offline/optimum.py": {"migratory_optimum"},
+    # The certificate checker: a mutated grouping, tie-break or tick
+    # conversion would accept a broken witness (or reject a valid one).
+    # tests/test_checker_mutations.py and test_certificate_differential.py
+    # compare every report, and every extracted witness, with the
+    # reference implementations; they are the kill-set.
+    "src/repro/model/schedule.py": {"verify", "_merge_adjacent"},
     # Sharded sweeps (ISSUE 7): a mutated partition (split group, skewed
     # round-robin) or merge validation (accepted duplicate/overlap/foreign
     # journal) must be caught by the sharding and merge kill-sets below.
@@ -95,6 +103,8 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
 #: The kill-set: fast, deterministic, certificate-backed.
 DEFAULT_TESTS = [
     "tests/test_corpus.py",
+    "tests/test_checker_mutations.py",
+    "tests/test_certificate_differential.py",
     "tests/test_runner.py::TestSharding",
     "tests/test_chaos.py::TestMergeJournals",
     "tests/test_hist.py",
