@@ -101,7 +101,7 @@ def ratio_profile(
         m = migratory_optimum(instance)
         if m == 0:
             continue
-        k = min_machines(lambda n: factory(), instance)
+        k = min_machines(lambda n: factory(), instance, lo=m)
         ratios.append(k / m)
     return _profile_from_ratios(policy_name, family_name, ratios)
 

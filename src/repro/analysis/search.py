@@ -74,7 +74,7 @@ def find_bad_instance(
         if m == 0 or (opt_filter is not None and not opt_filter(m)):
             continue
         trials += 1
-        k = min_machines(lambda n: policy_factory(), instance)
+        k = min_machines(lambda n: policy_factory(), instance, lo=m)
         ratio = k / m
         if ratio > worst:
             worst = ratio

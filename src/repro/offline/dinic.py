@@ -502,14 +502,20 @@ class FeasibilityNetwork:
         # kernel="c" request raises KernelUnavailable here (the "auto"
         # backend checks availability before ever asking for "c").
         ck = _ckernel.load() if kernel == "c" else None
+        # Capacities are ``|E_k| · speed · scale`` machine ticks: a scale
+        # that leaves ``speed · scale`` fractional would floor them.
+        sp = speed * scale
+        if sp.denominator != 1:
+            raise ValueError(
+                "scale incompatible with speed; use cache.scale_for(speed)"
+            )
         if tables is not None:
             # Integer fast path: all Fraction arithmetic happened once, in
             # the cache's table sweep.  ``speed·scale`` is an integer
             # multiple of ``base_scale`` by the scale_for contract, so every
             # capacity is two int multiplications away.
-            sp = speed * scale
             base = tables.base_scale
-            if sp.denominator != 1 or sp.numerator % base:
+            if sp.numerator % base:
                 raise ValueError(
                     "scale incompatible with tables; use cache.scale_for(speed)"
                 )
@@ -555,12 +561,8 @@ class FeasibilityNetwork:
             # One exact multiplication per interval; job→interval arcs reuse
             # it (a job cannot self-parallelize, so its per-interval cap
             # equals the interval's unit capacity).
-            sp = speed * scale
-            if sp.denominator == 1:
-                spi = sp.numerator
-                iv_caps = [int((b - a) * spi) for a, b in intervals]
-            else:
-                iv_caps = [int((b - a) * sp) for a, b in intervals]
+            spi = sp.numerator
+            iv_caps = [int((b - a) * spi) for a, b in intervals]
             add_edge = dinic.add_edge
             for k in range(n_iv):
                 add_edge(2 + n + k, self.SINK, 0)  # sink arc of interval k == 2k

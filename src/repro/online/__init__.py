@@ -1,6 +1,6 @@
 """Substrate: event-driven online simulation engine and classic policies."""
 
-from .base import EngineError, InfeasibleOnline, JobState, Policy
+from .base import EngineError, InfeasibleOnline, JobState, LowerBoundError, Policy
 from .edf import EDF, NonPreemptiveEDF, stable_machine_assignment
 from .engine import OnlineEngine, min_machines, simulate, succeeds
 from .doubling import (
@@ -25,6 +25,7 @@ __all__ = [
     "EngineError",
     "InfeasibleOnline",
     "JobState",
+    "LowerBoundError",
     "Policy",
     "EDF",
     "NonPreemptiveEDF",

@@ -29,7 +29,8 @@ from ..model.instance import paper_order_key
 from ..model.job import Job
 from .base import EngineError, JobState, Policy
 from .engine import OnlineEngine
-from .nonmigratory import local_edf_feasible
+from .edf import edf_key
+from .nonmigratory import local_edf_feasible, machine_workload
 
 
 class PhaseAssigner:
@@ -46,15 +47,11 @@ class FirstFitAssigner(PhaseAssigner):
     """EDF-admission first fit within the phase's machine range."""
 
     def assign(self, engine, state, machines):
-        t = engine.time
+        t = engine.tick
         for machine in machines:
-            workload = [
-                (s.job.deadline, s.remaining)
-                for s in engine.machine_active_jobs(machine)
-                if s.remaining > 0
-            ]
-            workload.append((state.job.deadline, state.remaining))
-            if local_edf_feasible(t, workload, engine.speed):
+            workload = machine_workload(engine, machine)
+            workload.append((state.due, state.rem))
+            if local_edf_feasible(t, workload):
                 return machine
         return None
 
@@ -180,10 +177,10 @@ class DoublingPolicy(Policy):
         selection: Dict[int, int] = {}
         for machine in range(engine.machines):
             runnable = [
-                s for s in engine.machine_active_jobs(machine) if s.remaining > 0
+                s for s in engine.machine_active_jobs(machine) if s.rem > 0
             ]
             if runnable:
-                best = min(runnable, key=lambda s: (s.job.deadline, s.job.id))
+                best = min(runnable, key=edf_key)
                 selection[machine] = best.job.id
         return selection
 

@@ -41,15 +41,18 @@ def stable_machine_assignment(
     return selection
 
 
+def edf_key(state: JobState):
+    """Earliest deadline first, ties by job id (tick fields: one decision point)."""
+    return (state.due, state.job.id)
+
+
 class EDF(Policy):
     """Migratory EDF: run the ``k`` unfinished jobs with earliest deadlines."""
 
     migratory = True
 
     def select(self, engine: OnlineEngine) -> Dict[int, int]:
-        active = sorted(
-            engine.active_jobs(), key=lambda s: (s.job.deadline, s.job.id)
-        )
+        active = sorted(engine.active_jobs(), key=edf_key)
         chosen = [s.job.id for s in active[: engine.machines]]
         return stable_machine_assignment(engine, chosen)
 
@@ -70,7 +73,7 @@ class NonPreemptiveEDF(Policy):
         selection: Dict[int, int] = {}
         busy_jobs = set()
         for state in engine.active_jobs():
-            if state.started_at is not None and state.remaining > 0:
+            if state.start is not None and state.rem > 0:
                 machine = state.committed
                 if machine is None:  # pragma: no cover - bound at first start
                     raise RuntimeError("started job without commitment")
@@ -80,9 +83,9 @@ class NonPreemptiveEDF(Policy):
             (
                 s
                 for s in engine.active_jobs()
-                if s.job.id not in busy_jobs and s.started_at is None
+                if s.job.id not in busy_jobs and s.start is None
             ),
-            key=lambda s: (s.job.deadline, s.job.id),
+            key=edf_key,
         )
         free = [m for m in range(engine.machines) if m not in selection]
         for machine, state in zip(free, waiting):

@@ -14,21 +14,54 @@ Lemma 9) interleave ``release()`` / ``run_until()`` calls with inspection of
 policy commitments and remaining processing times.  ``simulate()`` is the
 batch convenience wrapper used by everything else.
 
-All time arithmetic is exact (:class:`fractions.Fraction`).
+**Integer ticks.**  Simulated time is exact but costs int arithmetic.  The
+engine keeps one integer unit ``L`` (a :class:`~repro.online.base.TickGrid`):
+the lcm of the denominators of every release, every deadline, every
+``processing / speed`` and of ``migration_cost / speed``.  A time tick is
+``1/L`` and a work tick is the work a machine does in one tick, so a running
+job's remaining work drops by exactly one per tick, its completion event is
+``tick + rem``, and the speed never enters the inner loop.  Policies read the
+int tick fields of :class:`~repro.online.base.JobState` and
+:attr:`OnlineEngine.tick`.
+
+Drivers keep an exact :class:`~fractions.Fraction` view, converted only at
+the boundary: :attr:`OnlineEngine.time`, :meth:`OnlineEngine.remaining`, the
+``remaining`` / ``started_at`` / ``finished_at`` / ``overhead`` of a job
+state, :attr:`OnlineEngine.segments` / :meth:`OnlineEngine.schedule` (kept
+as tick tuples and built on read) and :attr:`TraceEvent.time`.
+
+A release, a ``run_until`` horizon or a policy wake-up off the current grid
+(adversaries release jobs at new denominators mid-run) **refines** ``L`` by
+an integer factor and rescales the engine's own state.  Policies therefore
+keep no tick values across decision points.
+
+Per-step ``engine.*`` counters build up in engine-local ints and reach the
+:mod:`repro.obs` sinks once per driver call (``release``, ``run_until``,
+``run_to_completion``, ``poll_selection``), also when it raises.
+:func:`simulate` records ``steps`` and ``decisions`` on its
+``engine.simulate`` span; the per-decision log is ``OnlineEngine(trace=True)``.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..model.instance import Instance
 from ..model.intervals import Numeric, to_fraction
 from ..model.job import Job
 from ..model.schedule import Schedule, Segment
 from ..obs import core as _obs
-from .base import EngineError, InfeasibleOnline, JobState, Policy
+from .base import (
+    EngineError,
+    InfeasibleOnline,
+    JobState,
+    LowerBoundError,
+    Policy,
+    TickGrid,
+)
 
 _MAX_EVENTS_FACTOR = 2000  # safety valve against pathological policies
 
@@ -69,76 +102,223 @@ class OnlineEngine:
         self.policy = policy
         self.machines = machines
         self.speed = to_fraction(speed)
+        if self.speed <= 0:
+            raise ValueError("speed must be positive")
         self.on_miss = on_miss
         #: extra work a job incurs each time it resumes on a new machine
         #: (the practical overhead the paper's non-migratory model avoids)
         self.migration_cost = to_fraction(migration_cost)
         if self.migration_cost < 0:
             raise ValueError("migration cost must be non-negative")
-        self.time: Fraction = Fraction(0)
+        self._grid = TickGrid(1, self.speed.numerator, self.speed.denominator)
+        cost = self.migration_cost / self.speed
+        self._grid.unit = cost.denominator
+        #: migration cost in work ticks
+        self._cost = cost.numerator
+        #: the current time, in ticks (``time`` is the Fraction view)
+        self.tick = 0
         self._started = False
         self.jobs: Dict[int, JobState] = {}
-        self._pending: List[Tuple[Fraction, int]] = []  # (release, job_id) heap
+        self._pending: List[Tuple[int, int]] = []  # (release tick, job_id) heap
         #: released, unfinished, unmissed jobs (the hot set; see active_jobs)
         self._active: Dict[int, JobState] = {}
-        #: (deadline, job_id) heap over active jobs, with lazy deletion
-        self._deadlines: List[Tuple[Fraction, int]] = []
-        self.segments: List[Segment] = []
+        #: (deadline tick, job_id) heap over active jobs, with lazy deletion
+        self._deadlines: List[Tuple[int, int]] = []
+        #: (job_id, machine, start tick, end tick, unit), in execution order;
+        #: each keeps the unit it was recorded in, so refinements skip it
+        self._segs: List[Tuple[int, int, int, int, int]] = []
+        self._seg_view: Optional[List[Segment]] = None
         self.missed_jobs: List[int] = []
         self._event_budget = 10_000
+        #: horizon tick of the running ``run_until`` (rescaled on refinement)
+        self._limit: Optional[int] = None
         #: running map chosen at the current decision point
         self._running: Dict[int, int] = {}
         #: machine → ids of jobs committed to it (kept by commit/binding);
         #: with _job_seq this answers machine_jobs in O(jobs on machine)
         #: instead of the O(all jobs) scan it replaced
         self._machine_index: Dict[int, Set[int]] = {}
+        #: machine → its index entry sorted by _job_seq, until the next bind
+        self._machine_sorted: Dict[int, List[int]] = {}
         #: job id → insertion rank, so index-backed listings keep the exact
         #: enumeration order of the old full scans (self.jobs is ordered)
         self._job_seq: Dict[int, int] = {}
         #: machines that ever got a commitment or processed work
         self._ever_used: Set[int] = set()
+        self._last_admitted: Tuple[int, ...] = ()
         #: decision-point log when constructed with ``trace=True``
         self.trace: Optional[List[TraceEvent]] = [] if trace else None
+        #: steps taken and decision points (processed slices) so far
+        self.steps = 0
+        self.decisions = 0
+        # engine.* counters not yet handed to the obs sinks (see _flush)
+        self._releases = self._completions = self._misses = 0
+        self._migrations = self._preemptions = self._queries = 0
+        self._steps_sent = 0
+        #: inside a driver call: counters wait for its _flush
+        self._busy = False
+        #: obs sinks were attached when the current driver call began
+        self._observe = False
+
+    # -- ticks -----------------------------------------------------------------
+
+    @property
+    def time(self) -> Fraction:
+        """The current time (exact view of :attr:`tick`)."""
+        return self._grid.time(self.tick)
+
+    @property
+    def unit(self) -> int:
+        """Ticks per time unit (``L``); grows when the grid is refined."""
+        return self._grid.unit
+
+    def _refine(self, factor: int) -> None:
+        """Multiply the unit by ``factor`` and rescale every tick value."""
+        self._grid.unit *= factor
+        self.tick *= factor
+        self._cost *= factor
+        if self._limit is not None:
+            self._limit *= factor
+        for s in self.jobs.values():
+            s.rel *= factor
+            s.due *= factor
+            s.rem *= factor
+            s.extra *= factor
+            if s.start is not None:
+                s.start *= factor
+            if s.finish is not None:
+                s.finish *= factor
+        # positive scaling keeps both heaps ordered
+        self._pending = [(r * factor, j) for r, j in self._pending]
+        self._deadlines = [(d * factor, j) for d, j in self._deadlines]
+
+    def _to_tick(self, value: Fraction) -> int:
+        """The tick of time ``value``, refining the grid if it is off it."""
+        scaled = value * self._grid.unit
+        if scaled.denominator != 1:
+            self._refine(scaled.denominator)
+        return scaled.numerator
+
+    def laxity(self, state: JobState) -> int:
+        """Laxity ``d − t − remaining work`` of ``state``, as an int.
+
+        The unit is ``1/(L · speed denominator)``; :meth:`time_after` turns
+        a laxity back into the time it elapses at.
+        """
+        g = self._grid
+        return g.den * (state.due - self.tick) - g.num * state.rem
+
+    def time_after(self, laxity: int) -> Fraction:
+        """The time ``laxity`` (in :meth:`laxity` units) after now."""
+        g = self._grid
+        return Fraction(self.tick * g.den + laxity, g.unit * g.den)
 
     # -- driver API ----------------------------------------------------------
 
+    def _enter(self) -> bool:
+        was_busy = self._busy
+        self._busy = True
+        self._observe = _obs.enabled()
+        return was_busy
+
+    def _leave(self, was_busy: bool) -> None:
+        self._busy = was_busy
+        if not was_busy:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Hand the accumulated engine.* counters to the obs sinks."""
+        counts = (
+            ("engine.steps", self.steps - self._steps_sent),
+            ("engine.releases", self._releases),
+            ("engine.migrations", self._migrations),
+            ("engine.preemptions", self._preemptions),
+            ("engine.completions", self._completions),
+            ("engine.misses", self._misses),
+            ("engine.machine_queries", self._queries),
+        )
+        self._steps_sent = self.steps
+        self._releases = self._completions = self._misses = 0
+        self._migrations = self._preemptions = self._queries = 0
+        if _obs.enabled():
+            for name, value in counts:
+                if value:
+                    _obs.incr(name, value)
+
     def release(self, jobs: Iterable[Job]) -> None:
-        """Add jobs to the simulation (releases must not lie in the past)."""
-        for job in jobs:
-            if job.id in self.jobs:
-                raise EngineError(f"job id {job.id} released twice")
-            if self._started and job.release < self.time:
-                raise EngineError(
-                    f"job {job.id} released at {job.release} < current time {self.time}"
+        """Add jobs to the simulation (releases must not lie in the past).
+
+        Refines the tick grid when a job's numbers are off it.
+        """
+        grid = self._grid
+        per_speed = None if grid.num == grid.den else 1 / self.speed
+        # (job, processing / speed) pairs; the quotient is what a work tick counts
+        jobs = [(job, job.processing if per_speed is None else job.processing * per_speed)
+                for job in jobs]
+        need = grid.unit
+        for job, work in jobs:
+            need = lcm(need, job.release.denominator, job.deadline.denominator,
+                       work.denominator)
+        if need != grid.unit:
+            self._refine(need // grid.unit)
+        was_busy = self._enter()
+        try:
+            unit = grid.unit
+            for job, work in jobs:
+                if job.id in self.jobs:
+                    raise EngineError(f"job {job.id} released twice")
+                r = job.release
+                rel = r.numerator * (unit // r.denominator)
+                if self._started and rel < self.tick:
+                    raise EngineError(
+                        f"job {job.id} released at {job.release} < current time {self.time}"
+                    )
+                d = job.deadline
+                state = JobState(
+                    job, grid, rel, d.numerator * (unit // d.denominator),
+                    work.numerator * (unit // work.denominator),
                 )
-            self._job_seq[job.id] = len(self.jobs)
-            self.jobs[job.id] = JobState(job=job, remaining=job.processing)
-            heapq.heappush(self._pending, (job.release, job.id))
-            self._event_budget += _MAX_EVENTS_FACTOR
-        if not self._started and self._pending:
-            self.time = min(self.time, self._pending[0][0])
-        # jobs released at or before the current time become visible (and
-        # are offered to the policy for commitment) immediately
-        if self._pending and self._pending[0][0] <= self.time:
-            self._admit_releases()
+                self._job_seq[job.id] = len(self.jobs)
+                self.jobs[job.id] = state
+                heapq.heappush(self._pending, (rel, job.id))
+                self._event_budget += _MAX_EVENTS_FACTOR
+            if not self._started and self._pending:
+                self.tick = min(self.tick, self._pending[0][0])
+            # jobs released at or before the current time become visible (and
+            # are offered to the policy for commitment) immediately
+            if self._pending and self._pending[0][0] <= self.tick:
+                self._admit_releases()
+        finally:
+            self._leave(was_busy)
 
     def run_until(self, horizon: Numeric) -> None:
         """Advance the simulation to exactly ``horizon``."""
         horizon = to_fraction(horizon)
         if horizon < self.time:
             raise EngineError(f"cannot run backwards to {horizon}")
-        while self.time < horizon:
-            self._step(limit=horizon)
-        self._started = True
-        # settle: admit releases due exactly at the horizon and check misses,
-        # so drivers (adversaries) observe commitments made at this instant
-        self._admit_releases()
-        self._check_misses()
+        was_busy = self._enter()
+        try:
+            self._limit = self._to_tick(horizon)
+            while self.tick < self._limit:
+                self._step()
+            self._started = True
+            # settle: admit releases due exactly at the horizon and check
+            # misses, so drivers (adversaries) observe commitments made at
+            # this instant
+            self._admit_releases()
+            self._check_misses()
+        finally:
+            self._limit = None
+            self._leave(was_busy)
 
     def run_to_completion(self) -> None:
         """Advance until no active jobs or pending releases remain."""
-        while self._pending or self._active:
-            self._step(limit=None)
+        was_busy = self._enter()
+        try:
+            while self._pending or self._active:
+                self._step()
+        finally:
+            self._leave(was_busy)
 
     # -- inspection API (used by policies and adversaries) ---------------------
 
@@ -160,8 +340,25 @@ class OnlineEngine:
         bucket = self._machine_index.get(machine)
         if bucket is None:
             bucket = self._machine_index[machine] = set()
-        bucket.add(job_id)
+        if job_id not in bucket:
+            bucket.add(job_id)
+            self._machine_sorted.pop(machine, None)
         self._ever_used.add(machine)
+
+    def _machine_order(self, machine: int) -> List[int]:
+        """Ids committed to ``machine`` in release order (cached per bind)."""
+        order = self._machine_sorted.get(machine)
+        if order is None:
+            order = self._machine_sorted[machine] = sorted(
+                self._machine_index.get(machine, ()), key=self._job_seq.__getitem__
+            )
+        return order
+
+    def _count_query(self) -> None:
+        """One ``engine.machine_queries``; outside a driver call, sent now."""
+        self._queries += 1
+        if not self._busy:
+            self._flush()
 
     def machine_jobs(self, machine: int) -> List[JobState]:
         """Jobs committed to ``machine`` (finished ones included).
@@ -169,31 +366,38 @@ class OnlineEngine:
         Served from the commitment index in O(jobs on the machine); the
         enumeration order matches the old full scan (release order).
         """
-        if _obs.enabled():
-            _obs.incr("engine.machine_queries")
-        ids = self._machine_index.get(machine)
-        if not ids:
-            return []
-        return [self.jobs[i] for i in sorted(ids, key=self._job_seq.__getitem__)]
+        self._count_query()
+        jobs = self.jobs
+        return [jobs[i] for i in self._machine_order(machine)]
 
     def machine_active_jobs(self, machine: int) -> List[JobState]:
-        if _obs.enabled():
-            _obs.incr("engine.machine_queries")
-        ids = self._machine_index.get(machine)
-        if not ids:
-            return []
-        return [
-            self.jobs[i]
-            for i in sorted(ids, key=self._job_seq.__getitem__)
-            if i in self._active
-        ]
+        self._count_query()
+        active = self._active
+        return [active[i] for i in self._machine_order(machine) if i in active]
 
     @property
     def used_machines(self) -> Set[int]:
         """Machines that have a commitment or ever processed a job."""
-        if _obs.enabled():
-            _obs.incr("engine.machine_queries")
+        self._count_query()
         return set(self._ever_used)
+
+    @property
+    def segments(self) -> List[Segment]:
+        """Executed processing, one segment per job and slice (exact times)."""
+        view = self._seg_view
+        if view is None or len(view) != len(self._segs):
+            time: Dict[Tuple[int, int], Fraction] = {}
+
+            def at(t: int, unit: int) -> Fraction:
+                f = time.get((t, unit))
+                if f is None:
+                    f = time[t, unit] = Fraction(t, unit)
+                return f
+
+            view = self._seg_view = [
+                Segment(j, m, at(a, u), at(b, u)) for j, m, a, b, u in self._segs
+            ]
+        return list(view)
 
     def schedule(self) -> Schedule:
         return Schedule(self.segments)
@@ -207,9 +411,13 @@ class OnlineEngine:
         otherwise only materialize in the next step (e.g. a procrastinating
         policy binding exactly at ``a_j``).
         """
-        self._admit_releases()
-        self._check_misses()
-        return self._validated_selection()
+        was_busy = self._enter()
+        try:
+            self._admit_releases()
+            self._check_misses()
+            return self._validated_selection()
+        finally:
+            self._leave(was_busy)
 
     # -- policy API ------------------------------------------------------------
 
@@ -238,25 +446,29 @@ class OnlineEngine:
 
     def _admit_releases(self) -> None:
         """Move pending jobs whose release time has come; fire on_release."""
+        pending = self._pending
+        if not pending or pending[0][0] > self.tick:
+            self._last_admitted = ()
+            return
         batch: List[JobState] = []
-        while self._pending and self._pending[0][0] <= self.time:
-            _, job_id = heapq.heappop(self._pending)
+        while pending and pending[0][0] <= self.tick:
+            _, job_id = heapq.heappop(pending)
             state = self.jobs[job_id]
             self._active[job_id] = state
-            heapq.heappush(self._deadlines, (state.job.deadline, job_id))
+            heapq.heappush(self._deadlines, (state.due, job_id))
             batch.append(state)
-        if batch:
-            self.policy.on_release(self, batch)
-            _obs.incr("engine.releases", len(batch))
+        self.policy.on_release(self, batch)
+        self._releases += len(batch)
         self._last_admitted = tuple(s.job.id for s in batch)
 
     def _check_misses(self) -> None:
-        while self._deadlines and self._deadlines[0][0] <= self.time:
-            _, job_id = heapq.heappop(self._deadlines)
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][0] <= self.tick:
+            _, job_id = heapq.heappop(deadlines)
             state = self.jobs[job_id]
-            if state.finished or state.missed:
+            if state.finish is not None or state.missed:
                 continue  # stale heap entry
-            if state.remaining > 0:
+            if state.rem > 0:
                 state.missed = True
                 self._active.pop(job_id, None)
                 self.missed_jobs.append(job_id)
@@ -269,18 +481,19 @@ class OnlineEngine:
     def _validated_selection(self) -> Dict[int, int]:
         selection = self.policy.select(self)
         seen_jobs: Set[int] = set()
+        jobs = self.jobs
         for machine, job_id in selection.items():
             if not (0 <= machine < self.machines):
                 raise EngineError(f"selection uses machine {machine} out of range")
             if job_id in seen_jobs:
                 raise EngineError(f"job {job_id} selected on two machines")
             seen_jobs.add(job_id)
-            state = self.jobs.get(job_id)
+            state = jobs.get(job_id)
             if state is None:
                 raise EngineError(f"selection references unknown job {job_id}")
-            if state.job.release > self.time:
+            if state.rel > self.tick:
                 raise EngineError(f"job {job_id} selected before its release")
-            if not state.active or state.remaining <= 0:
+            if state.finish is not None or state.missed or state.rem <= 0:
                 raise EngineError(f"job {job_id} selected but not runnable")
             if state.committed is not None and state.committed != machine:
                 raise EngineError(
@@ -293,134 +506,140 @@ class OnlineEngine:
                 self._bind(job_id, machine)
         return selection
 
-    def _next_event(self, selection: Dict[int, int], limit: Optional[Fraction]) -> Fraction:
-        candidates: List[Fraction] = []
-        if self._pending:
-            candidates.append(self._pending[0][0])
-        for machine, job_id in selection.items():
-            state = self.jobs[job_id]
-            candidates.append(self.time + state.remaining / self.speed)
-        while self._deadlines and (
-            self.jobs[self._deadlines[0][1]].finished
-            or self.jobs[self._deadlines[0][1]].missed
-        ):
-            heapq.heappop(self._deadlines)  # drop stale entries
-        if self._deadlines and self._deadlines[0][0] > self.time:
-            candidates.append(self._deadlines[0][0])
+    def _next_event(self, selection: Dict[int, int]) -> int:
+        # The wake-up comes first: converting it may refine the grid.
         wake = self.policy.next_wakeup(self)
+        woken = None
         if wake is not None:
             wake = to_fraction(wake)
             if wake > self.time:
-                candidates.append(wake)
-        if limit is not None:
-            candidates.append(limit)
-        future = [c for c in candidates if c > self.time]
-        if not future:
+                woken = self._to_tick(wake)
+        t = self.tick
+        best = self._limit
+        if woken is not None and (best is None or woken < best):
+            best = woken
+        if self._pending:
+            c = self._pending[0][0]
+            if best is None or c < best:
+                best = c
+        if selection:
+            jobs = self.jobs
+            c = t + min(jobs[j].rem for j in selection.values())
+            if best is None or c < best:
+                best = c
+        deadlines = self._deadlines
+        while deadlines:
+            state = self.jobs[deadlines[0][1]]
+            if state.finish is None and not state.missed:
+                break
+            heapq.heappop(deadlines)  # drop stale entries
+        if deadlines and deadlines[0][0] > t:
+            c = deadlines[0][0]
+            if best is None or c < best:
+                best = c
+        if best is None or best <= t:
             raise EngineError("engine stalled: no future events")
-        return min(future)
+        return best
 
-    def _step(self, limit: Optional[Fraction]) -> None:
+    def _step(self) -> None:
         """Process one inter-event slice of time."""
         self._started = True
         self._event_budget -= 1
         if self._event_budget <= 0:
             raise EngineError("event budget exhausted; policy may be thrashing")
+        limit = self._limit
         if not self._pending and not self.jobs:
             if limit is not None:
-                self.time = limit
+                self.tick = limit
             return
-        if self._pending and not self.active_jobs() and self._pending[0][0] > self.time:
+        pending = self._pending
+        if pending and not self._active and pending[0][0] > self.tick:
             # nothing runnable: jump to the next release (bounded by limit)
-            target = self._pending[0][0]
-            self.time = min(target, limit) if limit is not None else target
+            target = pending[0][0]
+            self.tick = min(target, limit) if limit is not None else target
         self._admit_releases()
         self._check_misses()
         selection = self._validated_selection()
         prev_running = self._running
         self._running = dict(selection)
+        jobs = self.jobs
         # migration penalties land when a job resumes on a different machine
         migrations = 0
+        cost = self._cost
         for machine, job_id in selection.items():
-            state = self.jobs[job_id]
-            if state.last_machine is not None and state.last_machine != machine:
+            state = jobs[job_id]
+            last = state.last_machine
+            if last is not None and last != machine:
                 state.migration_count += 1
                 migrations += 1
-                if self.migration_cost > 0:
-                    state.remaining += self.migration_cost
-                    state.overhead += self.migration_cost
+                if cost:
+                    state.rem += cost
+                    state.extra += cost
             state.last_machine = machine
-        if _obs.enabled():
-            _obs.incr("engine.steps")
-            if migrations:
-                _obs.incr("engine.migrations", migrations)
+        self.steps += 1
+        if self._observe:
+            self._migrations += migrations
             # Preempted: ran at the previous decision point, still has work
             # and a live deadline, but lost its machine at this one.
-            selected = set(selection.values())
-            preempted = sum(
-                1 for jid in prev_running.values()
-                if jid not in selected and jid in self._active
-            )
-            if preempted:
-                _obs.incr("engine.preemptions", preempted)
-        if not selection and not self._pending and not self.active_jobs():
+            if prev_running:
+                selected = set(selection.values())
+                active = self._active
+                self._preemptions += sum(
+                    1 for jid in prev_running.values()
+                    if jid not in selected and jid in active
+                )
+        if not selection and not self._pending and not self._active:
             # nothing left to do in this slice
             if limit is not None:
-                self.time = limit
+                self.tick = limit
             return
-        if limit is not None and self.time >= limit:
+        if limit is not None and self.tick >= limit:
             return
-        nxt = self._next_event(selection, limit)
+        nxt = self._next_event(selection)
+        limit = self._limit  # a wake-up may have refined the grid
         if limit is not None and nxt > limit:
             nxt = limit  # never process past an explicit horizon
-        for machine, job_id in selection.items():
-            state = self.jobs[job_id]
-            self.segments.append(Segment(job_id, machine, self.time, nxt))
-            if state.started_at is None:
-                state.started_at = self.time
-            state.machines.add(machine)
-            self._ever_used.add(machine)
-            state.remaining -= (nxt - self.time) * self.speed
-            if state.remaining < 0:
-                # completion strictly inside the slice is impossible: the
-                # completion time was an event candidate, so nxt ≤ finish.
-                raise EngineError("negative remaining work")  # pragma: no cover
-        start_time = self.time
-        self.time = nxt
+        start = self.tick
+        span = nxt - start
+        segs = self._segs
+        unit = self._grid.unit
+        ever_used = self._ever_used
         completed = []
         for machine, job_id in selection.items():
-            state = self.jobs[job_id]
-            if state.remaining == 0 and not state.finished:
-                state.finished_at = self.time
-                self._active.pop(job_id, None)
-                completed.append(job_id)
+            state = jobs[job_id]
+            segs.append((job_id, machine, start, nxt, unit))
+            if state.start is None:
+                state.start = start
+            state.machines.add(machine)
+            ever_used.add(machine)
+            state.rem -= span
+            if state.rem <= 0:
+                if state.rem < 0:
+                    # completion strictly inside the slice is impossible: the
+                    # completion tick was an event candidate, so nxt ≤ finish.
+                    raise EngineError("negative remaining work")  # pragma: no cover
+                if state.finish is None:
+                    state.finish = nxt
+                    completed.append(job_id)
+        self.tick = nxt
+        for job_id in completed:
+            del self._active[job_id]
         missed_before = len(self.missed_jobs)
         self._check_misses()
-        newly_missed = tuple(self.missed_jobs[missed_before:])
-        admitted = getattr(self, "_last_admitted", ())
+        self.decisions += 1
+        self._completions += len(completed)
+        self._misses += len(self.missed_jobs) - missed_before
         if self.trace is not None:
             self.trace.append(
                 TraceEvent(
-                    time=start_time,
+                    time=self._grid.time(start),
                     running=dict(selection),
-                    admitted=admitted,
+                    admitted=self._last_admitted,
                     completed=tuple(completed),
-                    missed=newly_missed,
+                    missed=tuple(self.missed_jobs[missed_before:]),
                 )
             )
             self._last_admitted = ()
-        if _obs.enabled():
-            if completed:
-                _obs.incr("engine.completions", len(completed))
-            if newly_missed:
-                _obs.incr("engine.misses", len(newly_missed))
-            _obs.event(
-                "engine.decision",
-                t=str(start_time),
-                machines=len(selection),
-                admitted=len(admitted),
-                completed=len(completed),
-                missed=len(newly_missed),
-            )
 
 
 def simulate(
@@ -443,7 +662,8 @@ def simulate(
             # error: record it and raise once the span has closed.
             missed = exc
         span.set(outcome="ok" if missed is None and not engine.missed_jobs
-                 else "infeasible")
+                 else "infeasible", steps=engine.steps,
+                 decisions=engine.decisions)
     if missed is not None:
         raise missed
     return engine
@@ -470,23 +690,49 @@ def min_machines(
 ) -> int:
     """Least machine count at which ``policy_factory(k)`` succeeds.
 
-    Assumes success is monotone in the machine count (true for every policy
-    in this repo); performs binary search with a geometric upper-bound scan.
-    A fresh policy instance is created per trial via ``policy_factory(k)``.
+    ``lo`` is a lower bound on the answer (pass the migratory optimum: no
+    online policy beats it) and ``hi``, if given, a count known to succeed.
+    The search gallops upward from ``lo`` (``lo, lo+1, lo+3, lo+7, …``),
+    binary-searches between the last failure and the first success, and
+    simulates no count twice.  Success is assumed monotone in the count
+    between those probes; the answer ``k`` is checked against ``k − 1``, and
+    :class:`~repro.online.base.LowerBoundError` is raised if ``k == lo`` but
+    ``lo − 1`` succeeds too.  A fresh policy instance is created per trial via
+    ``policy_factory(k)``.
     """
     if len(instance) == 0:
         return 0
-    if hi is None:
-        hi = max(lo, 1)
-        while not succeeds(policy_factory(hi), instance, hi, speed):
-            hi *= 2
-            if hi > 4 * len(instance) + 64:
-                raise RuntimeError("policy does not succeed at any sane machine count")
     lo = max(1, lo)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if succeeds(policy_factory(mid), instance, mid, speed):
-            hi = mid
+    known: Dict[int, bool] = {}
+    if hi is not None:
+        known[hi] = True
+
+    def ok(k: int) -> bool:
+        if k not in known:
+            known[k] = succeeds(policy_factory(k), instance, k, speed)
+        return known[k]
+
+    failed = None
+    k = lo
+    while not ok(k):
+        failed = k
+        k = lo + 2 * (k - lo) + 1
+        if hi is not None:
+            k = min(k, hi)
+        if k > 4 * len(instance) + 64:
+            raise RuntimeError("policy does not succeed at any sane machine count")
+    if failed is None:
+        # No failure seen: k == lo, and the answer stands only if lo − 1
+        # fails (zero machines cannot run a job).
+        if k > 1 and ok(k - 1):
+            raise LowerBoundError(
+                f"policy succeeds on {k - 1} machines, below the lower bound {lo}"
+            )
+        return k
+    while k - failed > 1:
+        mid = (failed + k) // 2
+        if ok(mid):
+            k = mid
         else:
-            lo = mid + 1
-    return lo
+            failed = mid
+    return k

@@ -27,10 +27,10 @@ class LLF(Policy):
 
     migratory = True
 
-    def _ranked(self, engine: OnlineEngine) -> List[Tuple[Fraction, int, JobState]]:
-        t = engine.time
+    def _ranked(self, engine: OnlineEngine) -> List[Tuple[int, int, JobState]]:
+        laxity = engine.laxity
         return sorted(
-            ((s.laxity_at(t), s.job.id, s) for s in engine.active_jobs()),
+            ((laxity(s), s.job.id, s) for s in engine.active_jobs()),
             key=lambda item: (item[0], item[1]),
         )
 
@@ -45,7 +45,8 @@ class LLF(Policy):
         Running jobs keep laxity constant; a waiting job's laxity decreases
         at rate one.  The first inversion with the *largest* running laxity
         happens after exactly ``ℓ_wait(t) − max ℓ_run(t)`` time units (only
-        relevant when all machines are busy and someone waits).
+        relevant when all machines are busy and someone waits).  Laxities are
+        the engine's exact ints (:meth:`OnlineEngine.laxity`).
         """
         ranked = self._ranked(engine)
         k = engine.machines
@@ -56,14 +57,13 @@ class LLF(Policy):
         gap = min_waiting_laxity - max_running_laxity
         wakeups = []
         if gap > 0:
-            wakeups.append(engine.time + gap)
+            wakeups.append(gap)
         # Safety wake-up: a waiting job whose laxity reaches zero must start
         # immediately; with laxity ties (gap == 0) the id tie-break holds the
         # current choice until then (continuous-time LLF is ill-defined under
         # ties; this is the standard deterministic discretization).
         for laxity, _, _ in ranked[k:]:
             if laxity > 0:
-                wakeups.append(engine.time + laxity)
+                wakeups.append(laxity)
                 break  # ranked by laxity: the first positive one is minimal
-        future = [w for w in wakeups if w > engine.time]
-        return min(future) if future else None
+        return engine.time_after(min(wakeups)) if wakeups else None

@@ -9,45 +9,45 @@ Admission is decided by an exact machine-local feasibility oracle: a set of
 released jobs with remaining work is EDF-feasible on a speed-``s`` machine
 iff for every deadline ``d``, the remaining work of jobs due by ``d`` fits
 in ``s · (d − t)``.  (All candidate jobs are already released, so this
-classical condition is exact.)
+classical condition is exact.)  The oracle runs on the engine's integer
+ticks, where a work tick is one tick of machine time, so the speed drops
+out: remaining work ticks due by ``d`` must fit in ``d − t`` ticks.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..model.intervals import Numeric, to_fraction
-from ..model.job import Job
-from .base import EngineError, JobState, Policy
+from .base import JobState, Policy
+from .edf import edf_key
 from .engine import OnlineEngine
 
 
-def local_edf_feasible(
-    t: Fraction,
-    workload: Sequence[Tuple[Fraction, Fraction]],
-    speed: Fraction,
-) -> bool:
+def local_edf_feasible(t, workload: Sequence[Tuple], speed=1) -> bool:
     """Feasibility of released work on one machine from time ``t``.
 
     ``workload`` is a list of ``(deadline, remaining_work)`` pairs, all
     released by ``t``.  EDF meets all deadlines iff for every deadline ``d``:
-    ``Σ_{d_i ≤ d} remaining_i ≤ speed · (d − t)``.
+    ``Σ_{d_i ≤ d} remaining_i ≤ speed · (d − t)``.  The policies pass the
+    engine's int ticks, where a work tick is one tick of machine time, so
+    their ``speed`` is 1.
     """
-    acc = Fraction(0)
+    if speed != 1:
+        workload = [(deadline, work / speed) for deadline, work in workload]
+    acc = 0
     for deadline, work in sorted(workload):
         acc += work
-        if acc > speed * (deadline - t):
+        if acc > deadline - t:
             return False
     return True
 
 
-def machine_workload(engine: OnlineEngine, machine: int) -> List[Tuple[Fraction, Fraction]]:
-    """(deadline, remaining) of the active jobs committed to ``machine``."""
+def machine_workload(engine: OnlineEngine, machine: int) -> List[Tuple[int, int]]:
+    """(deadline tick, remaining work ticks) of the active jobs on ``machine``."""
     return [
-        (s.job.deadline, s.remaining)
+        (s.due, s.rem)
         for s in engine.machine_active_jobs(machine)
-        if s.remaining > 0
+        if s.rem > 0
     ]
 
 
@@ -57,7 +57,7 @@ class CommitAtReleasePolicy(Policy):
     migratory = False
 
     def on_release(self, engine: OnlineEngine, jobs: Sequence[JobState]) -> None:
-        for state in sorted(jobs, key=lambda s: (s.job.deadline, s.job.id)):
+        for state in sorted(jobs, key=edf_key):
             machine = self.choose_machine(engine, state)
             if machine is None:
                 machine = self.fallback_machine(engine, state)
@@ -69,19 +69,19 @@ class CommitAtReleasePolicy(Policy):
 
     def fallback_machine(self, engine: OnlineEngine, state: JobState) -> int:
         """Where to put a job no machine admits (least-loaded by work)."""
-        loads = [Fraction(0)] * engine.machines
+        loads = [0] * engine.machines
         for s in engine.jobs.values():
             if s.committed is not None and s.active:
-                loads[s.committed] += s.remaining
+                loads[s.committed] += s.rem
         return min(range(engine.machines), key=lambda m: (loads[m], m))
 
     def select(self, engine: OnlineEngine) -> Dict[int, int]:
         selection: Dict[int, int] = {}
         for machine in range(engine.machines):
             candidates = engine.machine_active_jobs(machine)
-            runnable = [s for s in candidates if s.remaining > 0]
+            runnable = [s for s in candidates if s.rem > 0]
             if runnable:
-                best = min(runnable, key=lambda s: (s.job.deadline, s.job.id))
+                best = min(runnable, key=edf_key)
                 selection[machine] = best.job.id
         return selection
 
@@ -90,11 +90,11 @@ class FirstFitEDF(CommitAtReleasePolicy):
     """Commit to the lowest-index machine whose local EDF stays feasible."""
 
     def choose_machine(self, engine: OnlineEngine, state: JobState) -> Optional[int]:
-        t = engine.time
+        t = engine.tick
         for machine in range(engine.machines):
             workload = machine_workload(engine, machine)
-            workload.append((state.job.deadline, state.remaining))
-            if local_edf_feasible(t, workload, engine.speed):
+            workload.append((state.due, state.rem))
+            if local_edf_feasible(t, workload):
                 return machine
         return None
 
@@ -103,14 +103,14 @@ class BestFitEDF(CommitAtReleasePolicy):
     """Commit to the feasible machine with the most committed work (tightest fit)."""
 
     def choose_machine(self, engine: OnlineEngine, state: JobState) -> Optional[int]:
-        t = engine.time
+        t = engine.tick
         best_machine: Optional[int] = None
-        best_load = Fraction(-1)
+        best_load = -1
         for machine in range(engine.machines):
             workload = machine_workload(engine, machine)
-            load = sum((w for _, w in workload), Fraction(0))
-            workload.append((state.job.deadline, state.remaining))
-            if local_edf_feasible(t, workload, engine.speed):
+            load = sum(w for _, w in workload)
+            workload.append((state.due, state.rem))
+            if local_edf_feasible(t, workload):
                 if load > best_load:
                     best_load = load
                     best_machine = machine
@@ -133,23 +133,22 @@ class DeferredEDF(Policy):
     migratory = False
 
     def select(self, engine: OnlineEngine) -> Dict[int, int]:
-        t = engine.time
         selection: Dict[int, int] = {}
         committed = []
         urgent = []
         for state in engine.active_jobs():
             if state.committed is not None:
                 committed.append(state)
-            elif state.laxity_at(t) <= 0:
+            elif engine.laxity(state) <= 0:
                 urgent.append(state)
         by_machine: Dict[int, List[JobState]] = {}
         for state in committed:
             by_machine.setdefault(state.committed, []).append(state)
         for machine, states in by_machine.items():
-            best = min(states, key=lambda s: (s.job.deadline, s.job.id))
+            best = min(states, key=edf_key)
             selection[machine] = best.job.id
         free = (m for m in range(engine.machines) if m not in selection)
-        for state in sorted(urgent, key=lambda s: (s.job.deadline, s.job.id)):
+        for state in sorted(urgent, key=edf_key):
             machine = next(free, None)
             if machine is None:
                 break  # no machine left: the job will miss (lazy is risky)
@@ -158,13 +157,13 @@ class DeferredEDF(Policy):
 
     def next_wakeup(self, engine: OnlineEngine):
         """Wake at the next latest-start time of an uncommitted job."""
-        t = engine.time
-        starts = [
-            t + s.laxity_at(t)
-            for s in engine.active_jobs()
-            if s.committed is None and s.laxity_at(t) > 0
+        laxities = [
+            lax
+            for lax in (engine.laxity(s) for s in engine.active_jobs()
+                        if s.committed is None)
+            if lax > 0
         ]
-        return min(starts) if starts else None
+        return engine.time_after(min(laxities)) if laxities else None
 
 
 class SeededRandomFit(CommitAtReleasePolicy):
@@ -182,12 +181,12 @@ class SeededRandomFit(CommitAtReleasePolicy):
         self._rng = random.Random(seed)
 
     def choose_machine(self, engine: OnlineEngine, state: JobState) -> Optional[int]:
-        t = engine.time
+        t = engine.tick
         feasible = []
         for machine in range(engine.machines):
             workload = machine_workload(engine, machine)
-            workload.append((state.job.deadline, state.remaining))
-            if local_edf_feasible(t, workload, engine.speed):
+            workload.append((state.due, state.rem))
+            if local_edf_feasible(t, workload):
                 feasible.append(machine)
         if not feasible:
             return None
@@ -202,14 +201,14 @@ class EmptiestFitEDF(CommitAtReleasePolicy):
     """
 
     def choose_machine(self, engine: OnlineEngine, state: JobState) -> Optional[int]:
-        t = engine.time
+        t = engine.tick
         best_machine: Optional[int] = None
-        best_load: Optional[Fraction] = None
+        best_load: Optional[int] = None
         for machine in range(engine.machines):
             workload = machine_workload(engine, machine)
-            load = sum((w for _, w in workload), Fraction(0))
-            workload.append((state.job.deadline, state.remaining))
-            if local_edf_feasible(t, workload, engine.speed):
+            load = sum(w for _, w in workload)
+            workload.append((state.due, state.rem))
+            if local_edf_feasible(t, workload):
                 if best_load is None or load < best_load:
                     best_load = load
                     best_machine = machine

@@ -70,7 +70,8 @@ def task_ratio_sample(instance: Instance, *, policy: str, family: str = "") -> D
     if m == 0:
         return {"policy": policy, "family": family, "ratio": None}
     cls = resolve_policy(policy)
-    k = min_machines(lambda _: cls(), instance)
+    # no online policy beats the migratory optimum: gallop up from it
+    k = min_machines(lambda _: cls(), instance, lo=m)
     return {
         "policy": policy,
         "family": family,

@@ -328,13 +328,20 @@ class TestKillSet:
                 ), (kern, m)
 
     def test_standalone_caps_at_a_fractional_speed_scale(self):
-        """Without tables, interval caps are ``⌊|E_k| · speed · scale⌋``."""
+        """A fractional ``speed · scale`` is refused with or without tables
+        (it used to floor the stand-alone caps: 5, 5, 7 instead of 7.5)."""
         inst = Instance([Job(0, 2, 2, id=0), Job(2, 2, 4, id=1),
                          Job(4, 1, 7, id=2)])
-        intervals = cache_for(inst).tables.intervals
-        net = FeasibilityNetwork(inst, Fraction(5, 2), intervals, 1)
+        cache = cache_for(inst)
+        intervals = cache.tables.intervals
         assert [b - a for a, b in intervals] == [2, 2, 3]
-        assert list(net.iv_caps) == [5, 5, 7]
+        for tables in (None, cache.tables):
+            with pytest.raises(ValueError, match="scale incompatible"):
+                FeasibilityNetwork(inst, Fraction(5, 2), intervals, 1, tables=tables)
+        # the contract scale clears the denominator: exact caps
+        scale = cache.scale_for(Fraction(5, 2))
+        net = FeasibilityNetwork(inst, Fraction(5, 2), intervals, scale)
+        assert list(net.iv_caps) == [5 * scale, 5 * scale, 15 * scale // 2]
 
     def test_compiled_solve_records_its_own_duration(self):
         """``dinic.max_flow_c_ns`` samples are durations, not timestamps."""

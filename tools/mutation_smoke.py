@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import ast
 import copy
+import hashlib
 import subprocess
 import sys
 import time
@@ -98,6 +99,19 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
         "begin_drain",
         "drain",
     },
+    # Online engine on integer ticks: the tick conversion and refinement,
+    # the event loop, and the galloping machine search.  A mutant moves a
+    # schedule, a miss or a counter away from the Fraction reference engine
+    # (tests/test_engine_differential.py) or breaks the search's probe
+    # discipline (tests/test_min_machines.py).
+    "src/repro/online/engine.py": {
+        "release",
+        "_refine",
+        "_to_tick",
+        "_step",
+        "_next_event",
+        "min_machines",
+    },
 }
 
 #: The kill-set: fast, deterministic, certificate-backed.
@@ -114,6 +128,8 @@ DEFAULT_TESTS = [
     "tests/test_serve.py::TestBackpressure",
     "tests/test_serve.py::TestSweepEndpoints",
     "tests/test_serve.py::TestDrainStateMachine",
+    "tests/test_engine_differential.py",
+    "tests/test_min_machines.py",
 ]
 
 COMPARE_SWAP = {
@@ -141,19 +157,27 @@ NO_XOR_SWAP_FUNCS = {"work_by_job"}
 class Site:
     """One mutable AST location inside an allowlisted function."""
 
-    __slots__ = ("path", "func", "lineno", "col", "node_kind", "detail")
+    __slots__ = ("path", "func", "lineno", "col", "node_kind", "detail", "ordinal")
 
     def __init__(self, path: str, func: str, lineno: int, col: int,
-                 node_kind: str, detail: str) -> None:
+                 node_kind: str, detail: str, ordinal: int = 0) -> None:
         self.path = path
         self.func = func
         self.lineno = lineno
         self.col = col
         self.node_kind = node_kind
         self.detail = detail
+        #: rank among the function's sites of the same kind and detail
+        self.ordinal = ordinal
 
     def label(self) -> str:
         return f"{self.path}:{self.lineno}:{self.col} [{self.func}] {self.detail}"
+
+    def key(self) -> str:
+        """Sample key: stable under edits elsewhere (no line numbers, no
+        global index), so adding a site moves no other site in or out."""
+        ident = f"{self.path}|{self.func}|{self.node_kind}|{self.detail}|{self.ordinal}"
+        return hashlib.sha256(ident.encode()).hexdigest()
 
 
 def _is_string_compare(node: ast.Compare) -> bool:
@@ -169,36 +193,45 @@ def iter_sites(path: str, tree: ast.Module, allow: Optional[Set[str]]) -> Iterat
             continue
         if allow is not None and func.name not in allow:
             continue
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.BinOp)
-                and type(node.op) in BINOP_SWAP
-                and not (
-                    func.name in NO_XOR_SWAP_FUNCS
-                    and isinstance(node.op, ast.BitXor)
-                )
-            ):
-                yield Site(path, func.name, node.lineno, node.col_offset,
-                           "binop", type(node.op).__name__)
-            elif (
-                isinstance(node, ast.Compare)
-                and len(node.ops) == 1
-                and type(node.ops[0]) in COMPARE_SWAP
-                and not _is_string_compare(node)
-                and not (
-                    func.name in NO_EQ_SWAP_FUNCS
-                    and type(node.ops[0]) in (ast.Eq, ast.NotEq)
-                )
-            ):
-                yield Site(path, func.name, node.lineno, node.col_offset,
-                           "compare", type(node.ops[0]).__name__)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in NAME_SWAP
-            ):
-                yield Site(path, func.name, node.lineno, node.col_offset,
-                           "minmax", node.func.id)
+        ordinals: Dict[Tuple[str, str], int] = {}
+        for site in _function_sites(path, func):
+            kind = (site.node_kind, site.detail)
+            site.ordinal = ordinals.get(kind, 0)
+            ordinals[kind] = site.ordinal + 1
+            yield site
+
+
+def _function_sites(path: str, func: ast.AST) -> Iterator[Site]:
+    for node in ast.walk(func):
+        if (
+            isinstance(node, ast.BinOp)
+            and type(node.op) in BINOP_SWAP
+            and not (
+                func.name in NO_XOR_SWAP_FUNCS
+                and isinstance(node.op, ast.BitXor)
+            )
+        ):
+            yield Site(path, func.name, node.lineno, node.col_offset,
+                       "binop", type(node.op).__name__)
+        elif (
+            isinstance(node, ast.Compare)
+            and len(node.ops) == 1
+            and type(node.ops[0]) in COMPARE_SWAP
+            and not _is_string_compare(node)
+            and not (
+                func.name in NO_EQ_SWAP_FUNCS
+                and type(node.ops[0]) in (ast.Eq, ast.NotEq)
+            )
+        ):
+            yield Site(path, func.name, node.lineno, node.col_offset,
+                       "compare", type(node.ops[0]).__name__)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in NAME_SWAP
+        ):
+            yield Site(path, func.name, node.lineno, node.col_offset,
+                       "minmax", node.func.id)
 
 
 def mutate_source(source: str, site: Site) -> Optional[str]:
@@ -257,7 +290,8 @@ def run_tests(tests: List[str], timeout: float) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-mutants", type=int, default=14,
-                        help="evenly-spaced sample of all enumerated sites")
+                        help="sample size: the sites with the smallest stable "
+                             "keys (hash of file, function, operator, ordinal)")
     parser.add_argument("--time-budget", type=float, default=300.0,
                         help="stop (gracefully) after this many seconds")
     parser.add_argument("--per-mutant-timeout", type=float, default=None,
@@ -280,8 +314,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.max_mutants and args.max_mutants < len(sites):
-        stride = len(sites) / args.max_mutants
-        chosen = [sites[int(i * stride)] for i in range(args.max_mutants)]
+        # the smallest per-site keys: a sample that adding or removing a
+        # site elsewhere does not reshuffle
+        chosen = sorted(sites, key=Site.key)[: args.max_mutants]
     else:
         chosen = sites
 
