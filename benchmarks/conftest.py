@@ -10,7 +10,7 @@ Every test that uses the ``benchmark`` fixture additionally runs with an
 observability registry attached (:mod:`repro.obs`): its counter/gauge/span
 snapshot is stored in ``benchmark.extra_info["obs"]``, so the
 ``--benchmark-json`` artifact carries per-phase breakdowns (augmenting
-paths, cache probes, engine decisions, …) alongside the wall-clock numbers.
+paths, cache probes, engine steps, …) alongside the wall-clock numbers.
 Tests that must measure the *no-sink* fast path (``bench_obs_overhead``)
 simply avoid the ``benchmark`` fixture.
 """

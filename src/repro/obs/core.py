@@ -230,7 +230,7 @@ def span_agg(path: str, stat: Dict[str, int]) -> None:
 
 
 def event(name: str, **attrs: Any) -> None:
-    """Record a point event (e.g. one online-engine decision point)."""
+    """Record a point event (e.g. one sweep progress sample)."""
     if not (_sinks or _n_local):
         return
     path = "/".join(_span_path.get())
